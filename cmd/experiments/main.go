@@ -98,7 +98,6 @@ func run(ctx context.Context, args []string) error {
 	stallTimeout := fs.Duration("stall-timeout", 0, "kill cells stalled this long (0 = no watchdog)")
 	retries := fs.Int("retries", 0, "retry failed cells with a perturbed seed")
 	chaos := fs.String("chaos", "", "comma-separated chaos scenarios (default: all built-ins)")
-	cellParallel := fs.Bool("cell-parallel", false, "run each cell's memory channels on worker goroutines (auto-off when -par saturates the CPUs)")
 	cacheDir := fs.String("cache-dir", "", "persist the result cache to this directory across runs")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "byte budget for -cache-dir; least-recently-used entries are evicted (0 = unbounded)")
 	noCache := fs.Bool("no-cache", false, "disable result caching (simulate every cell)")
@@ -119,11 +118,7 @@ func run(ctx context.Context, args []string) error {
 		CellTimeout:  *cellTimeout,
 		StallTimeout: *stallTimeout,
 		Retries:      *retries,
-		CellParallel: *cellParallel,
 		Ctx:          ctx,
-	}
-	if *cellParallel && *chaos != "" {
-		return cli.Usagef("-cell-parallel is incompatible with -chaos: the fault injector is not channel-shard-safe; run chaos cells serially")
 	}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")
@@ -202,13 +197,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	if len(targets) == 1 && targets[0] == "all" {
 		targets = allTargets
-	}
-	if *cellParallel {
-		for _, t := range targets {
-			if t == "chaos" {
-				return cli.Usagef("-cell-parallel is incompatible with the chaos target: the fault injector is not channel-shard-safe; run it in a separate serial invocation")
-			}
-		}
 	}
 
 	stopProfiles, err := obsv.StartProfiles(*cpuProf, *memProf)

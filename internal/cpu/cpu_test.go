@@ -23,18 +23,24 @@ func (s *sliceTrace) Next() (workload.Request, bool) {
 	return r, true
 }
 
+// runSystem interleaves the cores with the memory epoch engine the
+// way sim.Run does: a core steps while it is strictly earliest, and
+// memory otherwise advances one epoch, bounded by its lookahead and
+// clamped to the next core event.
 func runSystem(t *testing.T, cores []*Core, mem *memsim.Memory) {
 	t.Helper()
+	lookahead := mem.Lookahead()
 	for steps := 0; steps < 50_000_000; steps++ {
-		next := mem.NextTime()
+		memNext := mem.NextTime()
+		coreMin := memsim.Infinity
 		var core *Core
 		for _, c := range cores {
-			if tt := c.NextTime(); tt < next {
-				next = tt
+			if tt := c.NextTime(); tt < coreMin {
+				coreMin = tt
 				core = c
 			}
 		}
-		if next == memsim.Infinity {
+		if memNext == memsim.Infinity && coreMin == memsim.Infinity {
 			for _, c := range cores {
 				if !c.Done() {
 					t.Fatalf("deadlock: core %d not done (%s)", c.ID(), c.Debug())
@@ -42,11 +48,18 @@ func runSystem(t *testing.T, cores []*Core, mem *memsim.Memory) {
 			}
 			return
 		}
-		if core != nil {
+		if coreMin < memNext {
 			core.Step()
-		} else {
-			mem.Step()
+			continue
 		}
+		h := memNext + lookahead
+		if coreMin < h {
+			h = coreMin
+		}
+		if h <= memNext {
+			h = memNext + 1
+		}
+		mem.RunEpoch(h)
 	}
 	t.Fatal("system did not terminate")
 }

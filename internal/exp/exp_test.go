@@ -1,11 +1,8 @@
 package exp
 
 import (
-	"runtime"
 	"strings"
 	"testing"
-
-	"repro/internal/workload"
 )
 
 // fastOptions keeps harness tests quick: a handful of representative
@@ -213,51 +210,5 @@ func TestOptionsValidation(t *testing.T) {
 	d := Options{}.withDefaults()
 	if d.Scale != 16 || d.TRH != 500 || d.Parallelism <= 0 {
 		t.Fatalf("defaults = %+v", d)
-	}
-}
-
-// TestCellParallelAutoDisable pins the layering rule: per-cell channel
-// fan-out only survives when the campaign pool leaves cores idle. A
-// saturated pool (Parallelism >= NumCPU, or the default) silently runs
-// serial cells; an undersubscribed pool keeps the flag and plumbs it
-// into every cell config.
-func TestCellParallelAutoDisable(t *testing.T) {
-	sat := Options{CellParallel: true}.withDefaults()
-	if sat.CellParallel {
-		t.Errorf("CellParallel survived a default (saturated) pool")
-	}
-	p, err := workload.ByName("parest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	under := Options{CellParallel: true, Parallelism: runtime.NumCPU() + 4}.withDefaults()
-	// An oversubscribed pool is also saturated; only strictly fewer
-	// workers than CPUs leaves room.
-	if under.CellParallel {
-		t.Errorf("CellParallel survived an oversubscribed pool")
-	}
-	if runtime.NumCPU() > 1 {
-		free := Options{CellParallel: true, Parallelism: 1}.withDefaults()
-		if !free.CellParallel {
-			t.Errorf("CellParallel dropped despite an undersubscribed pool")
-		}
-		if !free.baseConfig(p).Parallel {
-			t.Errorf("CellParallel not plumbed into the cell config")
-		}
-	}
-	if (Options{}).withDefaults().baseConfig(p).Parallel {
-		t.Errorf("cell config Parallel set without CellParallel")
-	}
-}
-
-// TestChaosRejectsCellParallel pins the documented incompatibility at
-// the campaign boundary, before any cell runs.
-func TestChaosRejectsCellParallel(t *testing.T) {
-	_, err := Chaos(Options{Scale: 64, CellParallel: true}, []string{"none"})
-	if err == nil {
-		t.Fatal("chaos campaign accepted CellParallel")
-	}
-	if !strings.Contains(err.Error(), "cell-parallel") && !strings.Contains(err.Error(), "CellParallel") {
-		t.Fatalf("unhelpful error: %v", err)
 	}
 }

@@ -162,17 +162,6 @@ func (o Options) workers(cells int) int {
 	return w
 }
 
-// PoolSaturated reports whether a campaign pool of the given worker
-// count already claims every CPU: with workers >= NumCPU there are no
-// idle cores left for intra-cell parallelism, so per-cell fan-out
-// (sim.Config.Parallel) would only add scheduling pressure. Callers
-// layering the two parallelism levels use this to pick exactly one.
-// workers <= 0 means the pool default (GOMAXPROCS), which saturates by
-// definition.
-func PoolSaturated(workers int) bool {
-	return workers <= 0 || workers >= runtime.NumCPU()
-}
-
 func (o Options) backoff(attempt int) time.Duration {
 	b := o.Backoff
 	if b <= 0 {

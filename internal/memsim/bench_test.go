@@ -30,19 +30,16 @@ func BenchmarkChannelThroughput(b *testing.B) {
 	drain(m)
 }
 
-// benchEpochs drives the epoch engine over a 4-channel bank-parallel
-// read stream and reports the amortized cost of one epoch barrier
-// (fan-out dispatch, per-channel advance, deterministic merge) next to
-// the usual ns/op. The serial and parallel variants run the identical
-// schedule; their ns/epoch difference is the fan-out overhead or win.
-func benchEpochs(b *testing.B, parallel bool) {
+// BenchmarkEpochBarrierSerial drives the epoch engine over a 4-channel
+// bank-parallel read stream and reports the amortized cost of one epoch
+// barrier (per-channel advance plus deterministic merge) next to the
+// usual ns/op.
+func BenchmarkEpochBarrierSerial(b *testing.B) {
 	mem := dram.Baseline()
 	mem.Channels = 4
 	cfg := DefaultConfig(mem)
 	cfg.ReadQCap = 1 << 20
-	cfg.Parallel = parallel
 	m := New(cfg)
-	defer m.Close()
 	la := m.Lookahead()
 	run := func() {
 		for t := m.NextTime(); t < Infinity; t = m.RunEpoch(t + la) {
@@ -62,14 +59,6 @@ func benchEpochs(b *testing.B, parallel bool) {
 	run()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.epochs), "ns/epoch")
 }
-
-// BenchmarkEpochBarrierSerial is the epoch engine without fan-out.
-func BenchmarkEpochBarrierSerial(b *testing.B) { benchEpochs(b, false) }
-
-// BenchmarkEpochBarrierParallel adds the worker goroutines (one per
-// channel past the first). At GOMAXPROCS 1 the fan-out auto-disables
-// and this coincides with the serial variant.
-func BenchmarkEpochBarrierParallel(b *testing.B) { benchEpochs(b, true) }
 
 // BenchmarkRowHitStream measures the fast path: all row-buffer hits.
 func BenchmarkRowHitStream(b *testing.B) {

@@ -403,6 +403,35 @@ func (c *linChannel) service(r *Request, now int64) {
 	}
 }
 
+// Step is the per-event API of the indexed scheduler: it advances the
+// channel with the earliest event and delivers that event's side
+// effects before returning. The machines use it as the reference that
+// the epoch engine (RunEpoch) is checked against, and tests use it to
+// stop at an exact event. The caller must only call it when
+// NextTime() < Infinity.
+func (m *Memory) Step() {
+	best := m.channels[0]
+	for _, c := range m.channels[1:] {
+		if c.nextAt < best.nextAt {
+			best = c
+		}
+	}
+	best.step()
+	m.drain()
+}
+
+// StepNext steps and returns the new earliest event time, or returns
+// Infinity without stepping when every channel is idle. Drivers loop
+//
+//	for t := m.NextTime(); t < bound; t = m.StepNext() { ... }
+func (m *Memory) StepNext() int64 {
+	if m.NextTime() == Infinity {
+		return Infinity
+	}
+	m.Step()
+	return m.NextTime()
+}
+
 // linMemory mirrors Memory over linChannels.
 type linMemory struct {
 	cfg      Config
@@ -442,8 +471,7 @@ func (m *linMemory) Step() {
 	best.step()
 }
 
-// StepNext matches Memory.StepNext for the memLike drivers. The
-// reference implementation stays naive on purpose: step, rescan.
+// StepNext matches Memory.StepNext for the memLike drivers.
 func (m *linMemory) StepNext() int64 {
 	m.Step()
 	return m.NextTime()
@@ -504,8 +532,7 @@ type memLike interface {
 
 // driveStream submits the specs in arrival order, stepping the
 // simulator up to each arrival, then drains it, returning the full
-// observable event log. It advances with the fused StepNext, so each
-// iteration costs one channel scan instead of two.
+// observable event log.
 func driveStream(m memLike, setHook func(func(uint32, Kind, int64)), specs []reqSpec) []schedEvent {
 	var events []schedEvent
 	setHook(func(row uint32, kind Kind, at int64) {

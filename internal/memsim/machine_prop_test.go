@@ -11,9 +11,7 @@ package memsim
 // a minimal schedule.
 
 import (
-	"os"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/dram"
@@ -218,16 +216,15 @@ func driveEpochs(m *Memory, specs []reqSpec) []schedEvent {
 	return events
 }
 
-// parallelEquivProp is the parallel-vs-serial equivalence family: a
-// generated segment mix is run three ways — per-event Step (the old
-// synchronous semantics), serial epochs, and parallel epochs — and all
-// three must produce bitwise-identical event logs and statistics. The
-// Step reference pins the epoch engine's merge order to the global
-// earliest-event order (the hooks here only log, so the engines'
-// feedback semantics coincide); the serial/parallel pair pins execution
-// strategy out of the results entirely, at any GOMAXPROCS. Runs under
-// -race in `make check` (quick tier) and `make soak` (thorough).
-func parallelEquivProp(tb testing.TB) func(*proptest.T) {
+// epochEquivProp is the per-event ≡ epoch equivalence family: a
+// generated segment mix is run two ways — per-event Step (the old
+// synchronous semantics) and epochs — and both must produce
+// bitwise-identical event logs and statistics. The Step reference pins
+// the epoch engine's merge order to the global earliest-event order
+// (the hooks here only log, so the engines' feedback semantics
+// coincide). Runs under -race in `make check` (quick tier) and
+// `make soak` (thorough).
+func epochEquivProp(tb testing.TB) func(*proptest.T) {
 	segments := schedSegments()
 	segNames := make([]string, 0, len(segments))
 	for name := range segments {
@@ -252,26 +249,16 @@ func parallelEquivProp(tb testing.TB) func(*proptest.T) {
 		stepM := New(cfgA)
 		ref := driveStream(stepM, func(h func(uint32, Kind, int64)) { stepM.cfg.OnACT = h }, specs)
 
-		serM := New(cfgA)
-		serial := driveEpochs(serM, specs)
+		epM := New(cfgA)
+		epoch := driveEpochs(epM, specs)
 
-		cfgP := cfgA
-		cfgP.Parallel = true
-		parM := New(cfgP)
-		parallel := driveEpochs(parM, specs)
-		parM.Close()
-
-		compareLogs(t, "serial-epoch", serial, "step", ref)
-		compareLogs(t, "parallel", parallel, "serial-epoch", serial)
-		serStats, parStats := serM.Stats(), parM.Stats()
-		if !reflect.DeepEqual(serStats, parStats) {
-			t.Fatalf("stats diverged across modes:\nserial:   %+v\nparallel: %+v", serStats, parStats)
-		}
+		compareLogs(t, "epoch", epoch, "step", ref)
 		// The Step reference never runs epochs; mask the counter for
 		// the cross-engine comparison.
-		serStats.Epochs = 0
-		if stepStats := stepM.Stats(); !reflect.DeepEqual(serStats, stepStats) {
-			t.Fatalf("stats diverged across engines:\nepoch: %+v\nstep:  %+v", serStats, stepStats)
+		epStats := epM.Stats()
+		epStats.Epochs = 0
+		if stepStats := stepM.Stats(); !reflect.DeepEqual(epStats, stepStats) {
+			t.Fatalf("stats diverged across engines:\nepoch: %+v\nstep:  %+v", epStats, stepStats)
 		}
 	}
 }
@@ -288,44 +275,10 @@ func compareLogs(t *proptest.T, gotName string, got []schedEvent, wantName strin
 	}
 }
 
-// TestParallelSerialEquivalenceMachine is the generated equivalence
-// suite for the channel-parallel engine (docs/TESTING.md). CI runs it
-// under the race detector with GOMAXPROCS forced to 1, 2 and NumCPU;
-// the forced-1 leg pins the auto-disable path. On an unforced
-// single-CPU machine the test raises GOMAXPROCS to 2 itself —
-// concurrency without parallelism still drives the worker goroutines
-// and their synchronization under the race detector.
-func TestParallelSerialEquivalenceMachine(t *testing.T) {
-	if os.Getenv("GOMAXPROCS") == "" && runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
-	proptest.Check(t, parallelEquivProp(t))
-}
-
-// TestParallelEpochsEngage pins that the equivalence suite exercises a
-// real fan-out: with multi-channel traffic and GOMAXPROCS > 1, at
-// least one epoch must run on the worker goroutines (an accidentally
-// always-serial "parallel" mode would pass every equivalence check
-// while testing nothing).
-func TestParallelEpochsEngage(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
-	mem := dram.Baseline()
-	mem.Channels = 4
-	cfg := DefaultConfig(mem)
-	cfg.Parallel = true
-	m := New(cfg)
-	defer m.Close()
-	var specs []reqSpec
-	for i := 0; i < 4096; i++ {
-		loc := dram.Loc{Channel: i % 4, Bank: i % 16, Row: (i / 64) % 200, Col: i % 128}
-		specs = append(specs, reqSpec{line: mem.Encode(loc), kind: ReadReq, arrive: int64(i)})
-	}
-	driveEpochs(m, specs)
-	if m.parEpochs == 0 {
-		t.Fatalf("no epoch fanned out to workers across %d epochs of 4-channel traffic", m.epochs)
-	}
+// TestEpochEquivalenceMachine is the generated per-event ≡ epoch
+// equivalence suite for the epoch engine (docs/TESTING.md).
+func TestEpochEquivalenceMachine(t *testing.T) {
+	proptest.Check(t, epochEquivProp(t))
 }
 
 func sortStrings(s []string) {

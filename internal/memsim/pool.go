@@ -3,10 +3,8 @@ package memsim
 // shared is per-Memory state the channels use in common: the request
 // free list and the global submission counter. seq is global (not per
 // channel) so a recycled request can never collide with a stale heap
-// entry's stamp on another channel. No locking is needed even in
-// parallel epochs: nextSeq runs only from submit and release only from
-// the epoch drain, both of which stay on the caller's goroutine while
-// the channel workers are quiescent (see epoch.go).
+// entry's stamp on another channel. Memory is single-goroutine, like
+// the rest of the simulator, so no locking is needed.
 type shared struct {
 	seq  int64
 	free []*Request
@@ -38,10 +36,10 @@ func (sh *shared) release(r *Request) {
 
 // NewRequest returns a Request from the memory system's pool. Pooled
 // requests are recycled automatically once serviced — when their
-// completion event drains at the epoch barrier (or at the end of Step),
-// after OnFinish returns — which keeps steady-state stepping
-// allocation-free; do not retain them afterwards. Requests allocated
-// directly with &Request{} keep working and are simply never recycled.
+// completion event drains at the epoch barrier, after OnFinish
+// returns — which keeps steady-state stepping allocation-free; do not
+// retain them afterwards. Requests allocated directly with &Request{}
+// keep working and are simply never recycled.
 //
 // Ownership: a pooled request belongs to the caller until Submit
 // accepts it. If Submit reports false (queue full), the caller still

@@ -21,8 +21,6 @@ package memsim
 // when the entry was pushed; a served request has its seq reset to -1,
 // so stale entries are detected and discarded when they surface.
 
-import "sync/atomic"
-
 // heapEnt is one entry of a lazily-deleted request heap. key is the
 // ordering key (Arrive or seq); stamp is the request's seq at push
 // time, compared against the live seq to detect served requests.
@@ -250,18 +248,14 @@ func (q *reqQueue) insertReady(r *Request, bank, openRow int) {
 }
 
 // remove takes a picked request out of its bucket and stamps it
-// served, which lazily deletes any aging/starving heap entries. The
-// stamp is atomic: a pooled request recycles at the epoch barrier and
-// may resubmit to a different channel while this channel's lazy heaps
-// still hold the old pointer, so under parallel epochs the new owner's
-// stamp races with the old owner's stale-entry checks. The value read
-// does not matter for those checks — seqs are never reused, so a
-// recycled request can never equal a stale entry's stamp — but the
-// accesses must be atomic for the race to be benign.
+// served, which lazily deletes any aging/starving heap entries. A
+// pooled request may recycle and resubmit to another channel while
+// this channel's lazy heaps still hold the old pointer; seqs are never
+// reused, so its new seq can never equal a stale entry's stamp.
 func (q *reqQueue) remove(r *Request, bank int) {
 	q.buckets[bank].remove(r)
 	q.readyN--
-	atomic.StoreInt64(&r.seq, -1)
+	r.seq = -1
 }
 
 // earliestFuture returns the arrival time of the next not-yet-arrived
@@ -297,14 +291,12 @@ func (q *reqQueue) oldestReady() *Request {
 func (q *reqQueue) starvingPick(now int64) *Request {
 	th := now - starvationAge
 	for len(q.aging) > 0 && q.aging[0].key < th {
-		// Atomic loads mirror the atomic served-stamp in remove: a
-		// stale entry's request may by now live on another channel.
-		if e := q.aging.pop(); atomic.LoadInt64(&e.r.seq) == e.stamp {
+		if e := q.aging.pop(); e.r.seq == e.stamp {
 			q.starving.push(heapEnt{e.r, e.stamp, e.stamp})
 		}
 	}
 	for len(q.starving) > 0 {
-		if e := q.starving[0]; atomic.LoadInt64(&e.r.seq) == e.stamp {
+		if e := q.starving[0]; e.r.seq == e.stamp {
 			return e.r
 		}
 		q.starving.pop()

@@ -128,12 +128,9 @@ func (h Hist) Clone() Hist {
 
 // Merge accumulates another histogram with identical bounds into h
 // (bucket-wise addition). Mismatched bounds panic: merging histograms
-// of different shapes indicates a harness bug. This is also the shard
-// merge point of the channel-parallel engine: each memsim channel
-// observes into its own histograms while epochs run concurrently, and
-// Memory.Stats folds the shards together here after the barrier —
-// addition commutes, so the fold is order-independent and the merged
-// result is identical in serial and parallel runs.
+// of different shapes indicates a harness bug. memsim's Memory.Stats
+// folds its per-channel histograms together here; addition commutes,
+// so the fold is order-independent.
 func (h *Hist) Merge(other Hist) {
 	if other.N == 0 {
 		return

@@ -56,39 +56,13 @@ func BenchmarkFullSystemBaseline(b *testing.B) {
 	}
 }
 
-// benchConfig4ch widens the cell to four channels: the organization the
-// parallel-speedup acceptance target is defined on (a fan-out cannot
-// beat serial on the 2-channel default — there is at most one worker).
-func benchConfig4ch(p string) Config {
-	cfg := benchConfig(p)
-	cfg.Mem.Channels = 4
-	return cfg
-}
-
-// BenchmarkFullSystemHydra4ch is the serial leg of the parallel
-// speedup comparison: the same cell as BenchmarkFullSystemHydra on the
-// 4-channel organization, epoch engine, fan-out off.
+// BenchmarkFullSystemHydra4ch is the same cell as
+// BenchmarkFullSystemHydra on a 4-channel organization: it tracks how
+// the epoch engine's per-epoch channel scan and merge scale with the
+// channel count.
 func BenchmarkFullSystemHydra4ch(b *testing.B) {
-	cfg := benchConfig4ch("parest")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFullSystemHydraParallel is the parallel leg: identical cell,
-// Parallel set, one worker goroutine per extra channel. On a machine
-// with GOMAXPROCS >= 4 this must come in at least 2x faster than
-// BenchmarkFullSystemHydra4ch; at GOMAXPROCS 1 the fan-out auto-
-// disables and the two legs coincide (the bench baseline records the
-// environment so cross-machine comparisons fail loudly — see
-// docs/PERFORMANCE.md).
-func BenchmarkFullSystemHydraParallel(b *testing.B) {
-	cfg := benchConfig4ch("parest")
-	cfg.Parallel = true
+	cfg := benchConfig("parest")
+	cfg.Mem.Channels = 4
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

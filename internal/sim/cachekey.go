@@ -25,13 +25,11 @@ import (
 // leapfrog fix), which changes results for runs that submit
 // future-dated requests — the throttle mitigation policy.
 // v4: the run loop advances memory in bulk-synchronous epochs with
-// tracker callbacks replayed at the epoch barrier (the channel-parallel
-// engine; docs/PERFORMANCE.md). Tracker feedback — victim refreshes and
+// tracker callbacks replayed at the epoch barrier (the epoch engine;
+// docs/PERFORMANCE.md). Tracker feedback — victim refreshes and
 // metadata traffic — enters the queues up to one controller lookahead
 // (~a hundred cycles) later than under the old per-event interleaving,
-// shifting results for every configuration with a tracker. The Parallel
-// knob itself is NOT hashed: parallel and serial execution compute
-// bitwise-identical results, so cached cells are shared across modes.
+// shifting results for every configuration with a tracker.
 const CacheKeyVersion = "hydra-cell/v4"
 
 // Cacheable reports whether a run's outcome is fully determined by the
@@ -48,10 +46,9 @@ func (c Config) Cacheable() bool {
 // configuration in a fixed order and format, independent of how the
 // Config value was built. It is the preimage of CacheKey and is
 // exposed for debugging cache behaviour ("why did these two cells not
-// dedupe?"). Ctx, Progress and Parallel are excluded — they control
-// cancellation, watchdog reporting and execution strategy, never the
-// computed Result — as are the unhashable attachments that Cacheable
-// gates on.
+// dedupe?"). Ctx and Progress are excluded — they control
+// cancellation and watchdog reporting, never the computed Result — as
+// are the unhashable attachments that Cacheable gates on.
 func (c Config) CanonicalString() string {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	var b strings.Builder

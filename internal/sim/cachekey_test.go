@@ -55,11 +55,6 @@ func TestCacheKeyIgnoresRuntimeAttachments(t *testing.T) {
 	if got := mustKey(t, c); got != base {
 		t.Fatalf("Ctx/Progress changed the key: they control cancellation and watchdog reporting, not the result")
 	}
-	c = keyConfig()
-	c.Parallel = true
-	if got := mustKey(t, c); got != base {
-		t.Fatalf("Parallel changed the key: it is an execution strategy with bitwise-identical results, and parallel/serial runs must share cached cells")
-	}
 	// A chaos scenario's Description is a report label; two scenarios
 	// differing only in prose inject identical faults.
 	c1, c2 := keyConfig(), keyConfig()
@@ -185,14 +180,14 @@ func TestCacheKeySensitivity(t *testing.T) {
 // this fail on purpose: either hash the new field in CanonicalString
 // (and bump CacheKeyVersion if it changes what existing configs
 // compute) or add it to the documented non-result set (Ctx, Progress,
-// Parallel, Observer, Trace, Traces, Scenario.Description), then
-// update the count here.
+// Observer, Trace, Traces, Scenario.Description), then update the
+// count here.
 func TestCacheKeyCoversEveryConfigField(t *testing.T) {
 	pins := []struct {
 		typ  reflect.Type
 		want int
 	}{
-		{reflect.TypeOf(Config{}), 30},
+		{reflect.TypeOf(Config{}), 29},
 		{reflect.TypeOf(AttackSpec{}), 2},
 		{reflect.TypeOf(faults.Scenario{}), 6},
 		{reflect.TypeOf(dram.Config{}), 5},

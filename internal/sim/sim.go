@@ -139,16 +139,6 @@ type Config struct {
 	// the run. See internal/faults.
 	Chaos *faults.Scenario
 
-	// Parallel runs the memory channels of each epoch on worker
-	// goroutines (see internal/memsim's epoch engine). It is an
-	// execution strategy, not a model knob: parallel and serial runs
-	// of the same configuration produce bitwise-identical Results, so
-	// Parallel is excluded from CacheKey and cached cells are shared
-	// across modes. Incompatible with Chaos — the fault injector has
-	// not been audited for channel-shard safety, and New rejects the
-	// combination rather than risk silent nondeterminism.
-	Parallel bool
-
 	// Traces, when non-empty, replaces the synthetic workload with
 	// one pre-recorded trace source per core (see internal/trace);
 	// Cores is ignored and Profile is used only for labeling.
@@ -272,9 +262,6 @@ func New(cfg Config) (*System, error) {
 		if err := cfg.Chaos.Validate(); err != nil {
 			return nil, err
 		}
-		if cfg.Parallel {
-			return nil, fmt.Errorf("sim: Parallel is incompatible with a Chaos scenario (%q): the fault injector is not channel-shard-safe; run chaos cells serially", cfg.Chaos.Name)
-		}
 	}
 	s := &System{
 		cfg:        cfg,
@@ -291,7 +278,6 @@ func New(cfg Config) (*System, error) {
 	mcfg := memsim.DefaultConfig(cfg.Mem)
 	mcfg.OnACT = s.onACT
 	mcfg.Trace = cfg.Trace
-	mcfg.Parallel = cfg.Parallel
 	s.mem = memsim.New(mcfg)
 
 	if err := s.makeTracker(&cfg); err != nil {
@@ -561,14 +547,11 @@ func (s *System) onACT(row uint32, kind memsim.Kind, at int64) {
 // Run executes the simulation to completion and returns the result.
 //
 // The loop is organized around memory epochs (docs/PERFORMANCE.md,
-// "Parallel cell execution"): cores step one at a time while they are
-// strictly earliest, and the memory system advances in bulk-synchronous
-// epochs bounded by the controller lookahead, the earliest core event
-// and the next window reset. The epoch engine runs in this shape
-// whether or not Config.Parallel fans the channels out, so the two
-// modes compute bitwise-identical results.
+// "Epoch engine"): cores step one at a time while they are strictly
+// earliest, and the memory system advances in bulk-synchronous epochs
+// bounded by the controller lookahead, the earliest core event and the
+// next window reset.
 func (s *System) Run() (Result, error) {
-	defer s.mem.Close()
 	const maxSteps = int64(2e9) // hard safety stop
 	lookahead := s.mem.Lookahead()
 	for steps := int64(0); ; steps++ {

@@ -27,9 +27,9 @@ type BenchResult struct {
 // BenchEnv records the machine a baseline was measured on. Benchmark
 // times only gate meaningfully against a baseline from a comparable
 // environment — a number recorded on a 16-core box says nothing about a
-// single-core CI runner (and the parallel-engine benchmarks literally
-// measure a different code path at GOMAXPROCS 1), so comparisons check
-// this and fail loudly on mismatch instead of silently drifting.
+// single-core CI runner (and the campaign benchmarks size their worker
+// pools from the CPU count), so comparisons check this and fail loudly
+// on mismatch instead of silently drifting.
 type BenchEnv struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
