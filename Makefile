@@ -42,8 +42,10 @@ test:
 # or use `make soak` for the thorough tier. The explicit -timeout
 # raises go test's 10 m per-package default: internal/exp's campaign
 # tests already run minutes natively and the race detector multiplies
-# that several-fold.
+# that several-fold. The gofmt step fails on any file gofmt would
+# rewrite, listing it.
 check: bench-smoke
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: the files above need formatting"; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race -timeout 30m ./...
 

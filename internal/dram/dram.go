@@ -15,7 +15,10 @@
 //     Hydra's Row-Count Table) in the top rows of each bank.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineBytes is the size of one memory line (one 64-byte transfer).
 const LineBytes = 64
@@ -105,16 +108,32 @@ type Loc struct {
 // Bit layout, low to high: channel | column | bank | rank | row.
 func (c Config) Decode(line uint64) Loc {
 	var l Loc
-	l.Channel = int(line % uint64(c.Channels))
-	line /= uint64(c.Channels)
-	l.Col = int(line % uint64(c.LinesPerRow()))
-	line /= uint64(c.LinesPerRow())
-	l.Bank = int(line % uint64(c.BanksPerRank))
-	line /= uint64(c.BanksPerRank)
-	l.Rank = int(line % uint64(c.RanksPerChannel))
-	line /= uint64(c.RanksPerChannel)
-	l.Row = int(line % uint64(c.RowsPerBank))
+	var v uint64
+	line, v = divmod(line, uint64(c.Channels))
+	l.Channel = int(v)
+	// LinesPerRow, spelled out: the method call copies the receiver,
+	// which measured as a stall on this per-request path.
+	line, v = divmod(line, uint64(c.RowBytes)/LineBytes)
+	l.Col = int(v)
+	line, v = divmod(line, uint64(c.BanksPerRank))
+	l.Bank = int(v)
+	line, v = divmod(line, uint64(c.RanksPerChannel))
+	l.Rank = int(v)
+	_, v = divmod(line, uint64(c.RowsPerBank))
+	l.Row = int(v)
 	return l
+}
+
+// divmod returns x/n and x%n. Every shipped geometry has power-of-two
+// dimensions, for which it shifts and masks instead of dividing: the
+// runtime divisions were most of Decode's cost on the per-request path.
+func divmod(x, n uint64) (uint64, uint64) {
+	if n&(n-1) == 0 {
+		// The shift is below 64 for a power of two; the mask says so,
+		// which drops the compiler's oversized-shift guard.
+		return x >> (bits.TrailingZeros64(n) & 63), x & (n - 1)
+	}
+	return x / n, x % n
 }
 
 // Encode is the inverse of Decode.
@@ -138,16 +157,14 @@ func (c Config) GlobalRow(l Loc) uint32 {
 // RowLoc returns the (channel, rank, bank, row) of a global row id.
 // Col is always 0.
 func (c Config) RowLoc(row uint32) Loc {
-	r := int(row)
-	bankGlobal := r / c.RowsPerBank
-	inBank := r % c.RowsPerBank
-	ch := bankGlobal / (c.RanksPerChannel * c.BanksPerRank)
-	rest := bankGlobal % (c.RanksPerChannel * c.BanksPerRank)
+	bankGlobal, inBank := divmod(uint64(row), uint64(c.RowsPerBank))
+	ch, rest := divmod(bankGlobal, uint64(c.RanksPerChannel*c.BanksPerRank))
+	rank, bank := divmod(rest, uint64(c.BanksPerRank))
 	return Loc{
-		Channel: ch,
-		Rank:    rest / c.BanksPerRank,
-		Bank:    rest % c.BanksPerRank,
-		Row:     inBank,
+		Channel: int(ch),
+		Rank:    int(rank),
+		Bank:    int(bank),
+		Row:     int(inBank),
 	}
 }
 

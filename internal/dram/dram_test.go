@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -40,14 +41,25 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// mappingGeometries covers the shipped power-of-two geometries (the
+// decode's shift-and-mask path) and geometries with non-power-of-two
+// dimensions (the division fallback, alone and mixed with shifts).
+var mappingGeometries = map[string]Config{
+	"baseline": Baseline(),
+	"ddr5":     DDR5(),
+	"odd":      {Channels: 3, RanksPerChannel: 1, BanksPerRank: 12, RowsPerBank: 3000, RowBytes: 8192},
+	"odd-cols": {Channels: 2, RanksPerChannel: 3, BanksPerRank: 16, RowsPerBank: 1000, RowBytes: 6144},
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	c := Baseline()
-	f := func(raw uint64) bool {
-		line := raw % (uint64(c.TotalBytes()) / LineBytes)
-		return c.Encode(c.Decode(line)) == line
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	for name, c := range mappingGeometries {
+		f := func(raw uint64) bool {
+			line := raw % (uint64(c.TotalBytes()) / LineBytes)
+			return c.Encode(c.Decode(line)) == line
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -67,15 +79,68 @@ func TestDecodeFieldsInRange(t *testing.T) {
 	}
 }
 
-func TestGlobalRowRoundTrip(t *testing.T) {
-	c := Baseline()
-	f := func(raw uint32) bool {
-		row := raw % uint32(c.TotalRows())
-		loc := c.RowLoc(row)
-		return c.GlobalRow(loc) == row
+// divDecode and divRowLoc are the plain division formulas Decode and
+// RowLoc compute; the shift-and-mask path must agree with them exactly.
+func divDecode(c Config, line uint64) Loc {
+	var l Loc
+	l.Channel = int(line % uint64(c.Channels))
+	line /= uint64(c.Channels)
+	l.Col = int(line % uint64(c.LinesPerRow()))
+	line /= uint64(c.LinesPerRow())
+	l.Bank = int(line % uint64(c.BanksPerRank))
+	line /= uint64(c.BanksPerRank)
+	l.Rank = int(line % uint64(c.RanksPerChannel))
+	line /= uint64(c.RanksPerChannel)
+	l.Row = int(line % uint64(c.RowsPerBank))
+	return l
+}
+
+func divRowLoc(c Config, row uint32) Loc {
+	r := int(row)
+	bankGlobal := r / c.RowsPerBank
+	rest := bankGlobal % (c.RanksPerChannel * c.BanksPerRank)
+	return Loc{
+		Channel: bankGlobal / (c.RanksPerChannel * c.BanksPerRank),
+		Rank:    rest / c.BanksPerRank,
+		Bank:    rest % c.BanksPerRank,
+		Row:     r % c.RowsPerBank,
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+}
+
+// TestDecodeMatchesDivision pins Decode and RowLoc to the division
+// formulas on every mapping geometry, for in-range and arbitrary lines.
+func TestDecodeMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for name, c := range mappingGeometries {
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		lines := uint64(c.TotalBytes()) / LineBytes
+		for i := 0; i < 20000; i++ {
+			raw := rng.Uint64()
+			for _, line := range []uint64{raw, raw % lines} {
+				if got, want := c.Decode(line), divDecode(c, line); got != want {
+					t.Fatalf("%s: Decode(%#x) = %+v, division gives %+v", name, line, got, want)
+				}
+			}
+			row := uint32(rng.Intn(c.TotalRows()))
+			if got, want := c.RowLoc(row), divRowLoc(c, row); got != want {
+				t.Fatalf("%s: RowLoc(%d) = %+v, division gives %+v", name, row, got, want)
+			}
+		}
+	}
+}
+
+func TestGlobalRowRoundTrip(t *testing.T) {
+	for name, c := range mappingGeometries {
+		f := func(raw uint32) bool {
+			row := raw % uint32(c.TotalRows())
+			loc := c.RowLoc(row)
+			return c.GlobalRow(loc) == row
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 

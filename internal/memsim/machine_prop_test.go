@@ -6,9 +6,10 @@ package memsim
 // against a starving victim, clock gaps landing on refresh boundaries,
 // same-cycle arrival pileups, meta storms past the pressure threshold —
 // together with generated queue-cap configurations, and requires the
-// heap-indexed scheduler and the linear-scan reference to produce
-// bitwise-identical event logs and statistics. A divergence shrinks to
-// a minimal schedule.
+// indexed scheduler and the linear-scan reference to produce
+// bitwise-identical event logs and statistics, with the live-bank
+// bitset checked against the buckets after every step. A divergence
+// shrinks to a minimal schedule.
 
 import (
 	"reflect"
@@ -161,7 +162,7 @@ func schedulerEquivProp(tb testing.TB) func(*proptest.T) {
 
 		cfgA := genSchedConfig(t, mem)
 		idx := New(cfgA)
-		got := driveStream(idx, func(h func(uint32, Kind, int64)) { cfgA.OnACT = h; idx.cfg.OnACT = h }, specs)
+		got := driveStream(checkedMemory{idx, t}, func(h func(uint32, Kind, int64)) { cfgA.OnACT = h; idx.cfg.OnACT = h }, specs)
 
 		cfgB := cfgA
 		lin := newLinMemory(cfgB)
@@ -178,6 +179,41 @@ func schedulerEquivProp(tb testing.TB) func(*proptest.T) {
 		}
 		if a, b := idx.Stats(), lin.Stats(); !reflect.DeepEqual(a, b) {
 			t.Fatalf("stats diverged:\nindexed:   %+v\nreference: %+v", a, b)
+		}
+	}
+}
+
+// checkedMemory checks the scheduler index's invariants after every
+// Submit and every step of the indexed scheduler.
+type checkedMemory struct {
+	*Memory
+	t *proptest.T
+}
+
+func (m checkedMemory) Submit(r *Request) bool {
+	ok := m.Memory.Submit(r)
+	m.check()
+	return ok
+}
+
+func (m checkedMemory) StepNext() int64 {
+	next := m.Memory.StepNext()
+	m.check()
+	return next
+}
+
+// check asserts the live-bank bitset matches the buckets: bit b is set
+// exactly when bucket b holds a live request.
+func (m checkedMemory) check() {
+	for _, c := range m.channels {
+		for qi, q := range [...]*reqQueue{&c.mitigQ, &c.readQ, &c.metaQ, &c.writeQ} {
+			for b := range q.buckets {
+				set := q.liveSet[b>>6]&(1<<(b&63)) != 0
+				if set != (q.buckets[b].live > 0) {
+					m.t.Fatalf("channel %d queue %d bank %d: liveSet bit %v, bucket holds %d live",
+						c.id, qi, b, set, q.buckets[b].live)
+				}
+			}
 		}
 	}
 }

@@ -2,7 +2,7 @@ package memsim
 
 // shared is per-Memory state the channels use in common: the request
 // free list and the global submission counter. seq is global (not per
-// channel) so a recycled request can never collide with a stale heap
+// channel) so a recycled request can never collide with a stale index
 // entry's stamp on another channel. Memory is single-goroutine, like
 // the rest of the simulator, so no locking is needed.
 type shared struct {
@@ -28,7 +28,7 @@ func (sh *shared) get() *Request {
 }
 
 // release returns a serviced pooled request to the free list. The
-// negative seq keeps any stale heap entries pointing at it dead.
+// negative seq keeps any stale index entries pointing at it dead.
 func (sh *shared) release(r *Request) {
 	*r = Request{pooled: true, seq: -1}
 	sh.free = append(sh.free, r)

@@ -179,9 +179,10 @@ func TestSteadyStateStepIsAllocationFree(t *testing.T) {
 		}
 		drain(m)
 	}
-	// Warm up the pool, buckets and heaps. Several rounds are needed:
-	// the starvation aging heap holds a backlog spanning starvationAge
-	// cycles, which takes a few rounds to reach steady capacity.
+	// Warm up the pool, buckets and queue rings. Several rounds are
+	// needed: the starvation aging queue holds a backlog spanning
+	// starvationAge cycles, which takes a few rounds to reach steady
+	// capacity.
 	for n := 0; n < 8; n++ {
 		round()
 	}

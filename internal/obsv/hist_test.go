@@ -30,13 +30,13 @@ func TestQuantileUniformInterpolation(t *testing.T) {
 		p    float64
 		want float64
 	}{
-		{0, 0},        // rank 0 → lower edge of the first bucket
-		{0.25, 5},     // rank 5 of 10 within (0,10]
-		{0.5, 10},     // exactly exhausts the first bucket
-		{0.75, 15},    // halfway through (10,20]
-		{1, 20},       // the maximum
-		{-0.5, 0},     // clamped to p=0
-		{1.5, 20},     // clamped to p=1
+		{0, 0},     // rank 0 → lower edge of the first bucket
+		{0.25, 5},  // rank 5 of 10 within (0,10]
+		{0.5, 10},  // exactly exhausts the first bucket
+		{0.75, 15}, // halfway through (10,20]
+		{1, 20},    // the maximum
+		{-0.5, 0},  // clamped to p=0
+		{1.5, 20},  // clamped to p=1
 	}
 	for _, c := range cases {
 		if got := h.Quantile(c.p); math.Abs(got-c.want) > 1e-9 {
