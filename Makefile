@@ -43,11 +43,13 @@ test:
 # raises go test's 10 m per-package default: internal/exp's campaign
 # tests already run minutes natively and the race detector multiplies
 # that several-fold. The gofmt step fails on any file gofmt would
-# rewrite, listing it.
+# rewrite, listing it. The campaign benchmark (perfbench/) is its own
+# module, so ./... never builds it; its smoke test runs separately.
 check: bench-smoke
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: the files above need formatting"; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race -timeout 30m ./...
+	cd perfbench && $(GO) test ./...
 
 # soak runs the whole suite at the thorough test tier under the race
 # detector: full crash-point coverage across all four workloads, long

@@ -48,10 +48,8 @@ type Tracker struct {
 	sink      rh.MemSink
 	gct       []uint16 // saturating group counters (0..TG)
 	rcc       *cache.SetAssoc
-	rct       []uint16 // per-row counters, the DRAM-resident table
-	rctEpoch  []uint32 // per-line epoch for the NoGCT ablation's lazy clear
-	epoch     uint32
-	ritAct    []uint16 // SRAM counters guarding the RCT's own rows
+	rct       *rh.RowTable[uint16] // per-row counters, the DRAM-resident table
+	ritAct    []uint16             // SRAM counters guarding the RCT's own rows
 	cipher    *rowCipher
 	groupSize int
 	stats     Stats
@@ -73,7 +71,7 @@ func New(cfg Config, sink rh.MemSink) (*Tracker, error) {
 	t := &Tracker{
 		cfg:       d,
 		sink:      sink,
-		rct:       make([]uint16, d.Rows),
+		rct:       rh.NewRowTable[uint16](d.Rows),
 		ritAct:    make([]uint16, d.MetaRows()),
 		groupSize: d.GroupSize(),
 	}
@@ -90,10 +88,6 @@ func New(cfg Config, sink rh.MemSink) (*Tracker, error) {
 			return nil, fmt.Errorf("core: sizing RCC: %w", err)
 		}
 		t.rcc = rcc
-	}
-	if d.NoGCT {
-		t.rctEpoch = make([]uint32, d.Rows/t.entriesPerLine()+1)
-		t.epoch = 1
 	}
 	if d.Randomize {
 		t.cipher = newRowCipher(d.Rows, d.Seed)
@@ -208,9 +202,7 @@ func (t *Tracker) initGroup(g int) {
 	if hi > t.cfg.Rows {
 		hi = t.cfg.Rows
 	}
-	for i := lo; i < hi; i++ {
-		t.rct[i] = uint16(t.cfg.TG)
-	}
+	t.rct.Fill(lo, hi, uint16(t.cfg.TG))
 	firstLine := t.rctLineOffset(uint32(lo))
 	lastLine := t.rctLineOffset(uint32(hi - 1))
 	for line := firstLine; line <= lastLine; line += 64 {
@@ -229,13 +221,13 @@ func (t *Tracker) perRow(idx uint32) bool {
 		line := t.rctLineOffset(idx)
 		t.sink.MetaRead(line)
 		t.stats.MetaReads++
-		count := t.loadRCT(idx) + 1
-		mitigate := int(count) >= t.cfg.TH
+		count := t.rct.Ref(idx)
+		*count++
+		mitigate := int(*count) >= t.cfg.TH
 		if mitigate {
-			count = 0
+			*count = 0
 			t.stats.Mitigations++
 		}
-		t.rct[idx] = count
 		t.sink.MetaWrite(line)
 		t.stats.MetaWrites++
 		return mitigate
@@ -257,7 +249,7 @@ func (t *Tracker) perRow(idx uint32) bool {
 	t.stats.RCTAccess++
 	t.sink.MetaRead(t.rctLineOffset(idx))
 	t.stats.MetaReads++
-	count := uint32(t.loadRCT(idx)) + 1
+	count := uint32(t.rct.Get(idx)) + 1
 	mitigate := int(count) >= t.cfg.TH
 	if mitigate {
 		count = 0
@@ -269,39 +261,11 @@ func (t *Tracker) perRow(idx uint32) bool {
 		vline := t.rctLineOffset(uint32(victim.Key))
 		t.sink.MetaRead(vline)
 		t.stats.MetaReads++
-		t.storeRCT(uint32(victim.Key), uint16(victim.Val))
+		t.rct.Set(uint32(victim.Key), uint16(victim.Val))
 		t.sink.MetaWrite(vline)
 		t.stats.MetaWrites++
 	}
 	return mitigate
-}
-
-// loadRCT reads the RCT entry honoring the NoGCT ablation's lazy
-// per-window clear (real Hydra never needs to clear the RCT because
-// group initialization overwrites stale counts, Section 4.6).
-func (t *Tracker) loadRCT(idx uint32) uint16 {
-	if t.cfg.NoGCT {
-		line := int(idx) / t.entriesPerLine()
-		if t.rctEpoch[line] != t.epoch {
-			lo := line * t.entriesPerLine()
-			hi := lo + t.entriesPerLine()
-			if hi > t.cfg.Rows {
-				hi = t.cfg.Rows
-			}
-			for i := lo; i < hi; i++ {
-				t.rct[i] = 0
-			}
-			t.rctEpoch[line] = t.epoch
-		}
-	}
-	return t.rct[idx]
-}
-
-func (t *Tracker) storeRCT(idx uint32, v uint16) {
-	if t.cfg.NoGCT {
-		t.loadRCT(idx) // ensure the line is in the current epoch first
-	}
-	t.rct[idx] = v
 }
 
 // ActivateMeta implements rh.Tracker: activations of the RCT's own
@@ -323,8 +287,9 @@ func (t *Tracker) ActivateMeta(metaRow int) bool {
 
 // ResetWindow implements rh.Tracker: it clears the SRAM structures
 // (GCT, RCC, RIT-ACT) at the end of each 64 ms tracking window. The
-// DRAM-resident RCT is deliberately not touched (Section 4.6); for the
-// NoGCT ablation an epoch bump models the required lazy clear. With
+// DRAM-resident RCT is deliberately not touched (Section 4.6), since
+// group initialization overwrites stale counts; the NoGCT ablation has
+// no group initialization, so it clears the RCT, in O(1). With
 // randomized indexing the cipher is rekeyed, changing the row-to-group
 // mapping for the next window.
 func (t *Tracker) ResetWindow() {
@@ -338,7 +303,7 @@ func (t *Tracker) ResetWindow() {
 		t.ritAct[i] = 0
 	}
 	if t.cfg.NoGCT {
-		t.epoch++
+		t.rct.Clear()
 	}
 	if t.cipher != nil {
 		t.cipher.Rekey()
@@ -349,7 +314,9 @@ func (t *Tracker) ResetWindow() {
 // attack surface Section 5.2.2 defends with RIT-ACT, exercised by the
 // chaos campaigns of internal/faults: each nonzero counter is zeroed
 // with probability frac (drawn from rng, which must return values in
-// [0,1)). Zeroing is the adversarial direction, since an undercount
+// [0,1)), in ascending index order. Under NoGCT a counter left over
+// from an earlier window reads as zero, so it is neither drawn for nor
+// counted. Zeroing is the adversarial direction, since an undercount
 // can hide a hot row from mitigation. Counters cached in the SRAM RCC
 // are deliberately untouched: physically, corrupting DRAM does not
 // reach a cached copy until it is evicted and refetched. Returns how
@@ -359,12 +326,12 @@ func (t *Tracker) CorruptRCT(frac float64, rng func() float64) int {
 		return 0
 	}
 	n := 0
-	for i, v := range t.rct {
-		if v != 0 && rng() < frac {
-			t.rct[i] = 0
+	t.rct.Each(func(i uint32, _ uint16) {
+		if rng() < frac {
+			t.rct.Set(i, 0)
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -394,5 +361,5 @@ func (t *Tracker) EstimatedCount(row rh.Row) int {
 			return int(v)
 		}
 	}
-	return int(t.loadRCT(idx))
+	return int(t.rct.Get(idx))
 }

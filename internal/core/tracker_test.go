@@ -483,3 +483,102 @@ func TestStatsAreConsistent(t *testing.T) {
 		t.Fatalf("reads (%d) < writes (%d): every write path also reads", s.MetaReads, s.MetaWrites)
 	}
 }
+
+// rctSnapshot copies the RCT into a flat slice.
+func rctSnapshot(h *Tracker) []uint16 {
+	flat := make([]uint16, h.cfg.Rows)
+	for i := range flat {
+		flat[i] = h.rct.Get(uint32(i))
+	}
+	return flat
+}
+
+// TestCorruptRCTMatchesFlatScan pins CorruptRCT to the flat-array rule
+// it replaced: with the same seeded RNG, scanning a flat copy of the
+// RCT and zeroing each nonzero counter with probability frac zeroes
+// the same rows and draws the RNG the same number of times. The
+// geometry leaves a partial last page.
+func TestCorruptRCTMatchesFlatScan(t *testing.T) {
+	cfg := Config{Rows: 3000, TRH: 100, GCTEntries: 24, RCCEntries: 16, RCCWays: 8, RowBytes: 8192}
+	h := MustNew(cfg, rh.NullSink{})
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 60000; i++ {
+		h.Activate(rh.Row(rng.Intn(cfg.Rows)))
+	}
+	flat := rctSnapshot(h)
+	quarters := map[int]bool{}
+	for i, v := range flat {
+		if v != 0 {
+			quarters[4*i/cfg.Rows] = true
+		}
+	}
+	if len(quarters) != 4 {
+		t.Fatalf("nonzero counters in %d quarters of the RCT, want all 4", len(quarters))
+	}
+
+	const frac = 0.4
+	flatRNG, tabRNG := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+	want := 0
+	for i, v := range flat {
+		if v != 0 && flatRNG.Float64() < frac {
+			flat[i] = 0
+			want++
+		}
+	}
+	if got := h.CorruptRCT(frac, tabRNG.Float64); got != want {
+		t.Fatalf("CorruptRCT = %d, flat scan zeroes %d", got, want)
+	}
+	for i, v := range rctSnapshot(h) {
+		if v != flat[i] {
+			t.Fatalf("row %d = %d after corruption, flat scan leaves %d", i, v, flat[i])
+		}
+	}
+	if flatRNG.Int63() != tabRNG.Int63() {
+		t.Fatal("CorruptRCT drew the RNG a different number of times than the flat scan")
+	}
+}
+
+// TestNoGCTCorruptionSkipsStaleCounters pins the NoGCT corruption rule:
+// counters left from an earlier window read as zero, so a corruption
+// sweep neither draws the RNG for them nor counts them.
+func TestNoGCTCorruptionSkipsStaleCounters(t *testing.T) {
+	cfg := smallConfig()
+	cfg.NoGCT = true
+	h := MustNew(cfg, rh.NullSink{})
+	live := func() int {
+		n := 0
+		for _, v := range rctSnapshot(h) {
+			if v != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	// 200 distinct rows through a 64-entry RCC: evictions write
+	// counters back to the RCT.
+	hammer := func(base int) {
+		for r := 0; r < 200; r++ {
+			for i := 0; i < 5; i++ {
+				h.Activate(rh.Row(base + 7*r))
+			}
+		}
+	}
+	hammer(0)
+	if live() == 0 {
+		t.Fatal("no counter reached the RCT in window 1")
+	}
+	h.ResetWindow()
+	draws := 0
+	all := func() float64 { draws++; return 0 }
+	if n := h.CorruptRCT(1, all); n != 0 || draws != 0 {
+		t.Fatalf("after ResetWindow: corrupted %d entries with %d draws, want 0 and 0", n, draws)
+	}
+	hammer(1)
+	want := live()
+	if want == 0 {
+		t.Fatal("no counter reached the RCT in window 2")
+	}
+	if n := h.CorruptRCT(1, all); n != want || draws != want {
+		t.Fatalf("window 2: corrupted %d entries with %d draws, want %d live counters", n, draws, want)
+	}
+}

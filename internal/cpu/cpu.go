@@ -60,8 +60,11 @@ type Core struct {
 	nextAt int64
 
 	instCount int64 // instructions fetched so far
-	reads     []outstandingRead
-	blocked   bool // waiting for the oldest read's completion time
+	// reads is the outstanding-read window, oldest first: a window of
+	// readBuf, which retirements advance from the front.
+	reads   []outstandingRead
+	readBuf []outstandingRead
+	blocked bool // waiting for the oldest read's completion time
 
 	pending   *memsim.Request // submission refused by a full queue
 	exhausted bool
@@ -90,6 +93,10 @@ func New(id int, cfg Config, trace TraceSource, mem Memory) (*Core, error) {
 		cfg.RetryBackoff = 32
 	}
 	c := &Core{id: id, cfg: cfg, trace: trace, mem: mem}
+	// At most ROB+1 reads are outstanding: the ROB check retires all
+	// but the last ROB instructions' reads before the next one issues.
+	c.readBuf = make([]outstandingRead, 0, cfg.ROB+1)
+	c.reads = c.readBuf
 	c.onFin = c.readDone
 	return c, nil
 }
@@ -208,6 +215,12 @@ func (c *Core) Step() {
 	} else {
 		req.Kind = memsim.ReadReq
 		c.Reads++
+		if len(c.reads) == cap(c.reads) {
+			// Slide the window to the front of readBuf instead of
+			// letting append reallocate past the retired prefix.
+			c.reads = append(c.readBuf[:0], c.reads...)
+			c.readBuf = c.reads[:0]
+		}
 		c.reads = append(c.reads, outstandingRead{instIdx: c.instCount, finishAt: -1})
 		// Identify the record by instruction index: retirements pop
 		// from the front of c.reads, so readDone searches on completion.

@@ -208,6 +208,12 @@ func (b *bucket) push(r *Request, openRow int) {
 	for n := len(b.items); n > b.head && b.items[n-1] == nil; n-- {
 		b.items = b.items[:n-1]
 	}
+	// A full slice with a dead prefix compacts in place: append would
+	// otherwise copy the dead slots into a larger array, and a bucket
+	// that never empties would keep reallocating.
+	if len(b.items) == cap(b.items) && b.head > 0 {
+		b.compact()
+	}
 	i := len(b.items)
 	r.qpos = int32(i)
 	b.items = append(b.items, r)

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cpu"
@@ -327,5 +328,38 @@ func TestDDR5GeometryRuns(t *testing.T) {
 	}
 	if res.SRAMBytes == 0 || res.Mem.Activates == 0 {
 		t.Fatalf("empty run: %+v", res)
+	}
+}
+
+// TestNewAllocatesInProportionToTouchedRows pins per-cell setup: at
+// the sweep-light configuration (a 4M-row system at scale 64), building
+// a system with a per-row tracker allocates under 1 MB, because the
+// per-row counter tables materialize pages only when rows are written.
+// Flat per-row arrays cost 8 to 16 MB here.
+func TestNewAllocatesInProportionToTouchedRows(t *testing.T) {
+	p, err := workload.ByName("leela")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []TrackerKind{TrackOCPR, TrackCRA, TrackHydra} {
+		cfg := Default(p)
+		cfg.Scale = 64
+		cfg.Tracker = kind
+		// The smallest of a few runs: MemStats counts every goroutine.
+		best := uint64(1 << 62)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := New(cfg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		if best >= 1<<20 {
+			t.Errorf("%s: New allocated %.2f MB, want < 1 MB", kind, float64(best)/(1<<20))
+		} else {
+			t.Logf("%s: New allocated %.3f MB", kind, float64(best)/(1<<20))
+		}
 	}
 }

@@ -14,7 +14,7 @@ type OCPR struct {
 	geom      Geometry
 	trh       int
 	threshold int
-	counts    []uint32
+	counts    *rh.RowTable[uint32]
 
 	// Mitigations counts mitigations issued over the tracker lifetime.
 	Mitigations int64
@@ -34,7 +34,7 @@ func NewOCPR(geom Geometry, trh int) (*OCPR, error) {
 		geom:      geom,
 		trh:       trh,
 		threshold: mitigationThreshold(trh),
-		counts:    make([]uint32, geom.Rows),
+		counts:    rh.NewRowTable[uint32](geom.Rows),
 	}, nil
 }
 
@@ -52,9 +52,10 @@ func (o *OCPR) Name() string { return "ocpr" }
 
 // Activate implements rh.Tracker.
 func (o *OCPR) Activate(row rh.Row) bool {
-	o.counts[row]++
-	if int(o.counts[row]) >= o.threshold {
-		o.counts[row] = 0
+	c := o.counts.Ref(uint32(row))
+	*c++
+	if int(*c) >= o.threshold {
+		*c = 0
 		o.Mitigations++
 		return true
 	}
@@ -68,11 +69,7 @@ func (o *OCPR) ActivateMeta(int) bool { return false }
 func (o *OCPR) MetaRows() int { return 0 }
 
 // ResetWindow implements rh.Tracker.
-func (o *OCPR) ResetWindow() {
-	for i := range o.counts {
-		o.counts[i] = 0
-	}
-}
+func (o *OCPR) ResetWindow() { o.counts.Clear() }
 
 // SRAMBytes implements rh.Tracker: one log2(T_RH)-bit counter per row,
 // the Table 1 sizing (2.3 MB per rank at T_RH = 500).
@@ -81,7 +78,7 @@ func (o *OCPR) SRAMBytes() int {
 }
 
 // Count returns the current counter of a row (for tests).
-func (o *OCPR) Count(row rh.Row) int { return int(o.counts[row]) }
+func (o *OCPR) Count(row rh.Row) int { return int(o.counts.Get(uint32(row))) }
 
 // bitsFor returns the bits needed to represent values 0..n.
 func bitsFor(n int) int {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/dram"
 )
@@ -63,7 +64,7 @@ type Stream struct {
 
 	totalBanks  int
 	rowsPerCore int     // in-bank rows available to this core
-	perm        []int32 // random page placement within the partition
+	perm        []int32 // random page placement within the partition; shared, read-only
 
 	uniqueRows int // this core's share of the footprint
 	hotRows    int
@@ -171,15 +172,7 @@ func NewStream(p Profile, cfg StreamConfig) (*Stream, error) {
 	// (Hydra's GCT granularity) roughly Poisson-distributed rather
 	// than packed back to back. A seeded Fisher-Yates permutation of
 	// the partition reproduces that.
-	s.perm = make([]int32, s.rowsPerCore)
-	for i := range s.perm {
-		s.perm[i] = int32(i)
-	}
-	permRng := splitMix{state: cfg.Seed ^ 0x5eed5eed5eed}
-	for i := len(s.perm) - 1; i > 0; i-- {
-		j := int(permRng.next() % uint64(i+1))
-		s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
-	}
+	s.perm = placement(cfg.Seed, s.rowsPerCore)
 	// Expected hot activations set the hot-pick probability.
 	hotActs := 0
 	if hot > 0 {
@@ -210,6 +203,48 @@ func NewStream(p Profile, cfg StreamConfig) (*Stream, error) {
 	}
 	s.coldNext = hot
 	return s, nil
+}
+
+// placements memoizes page-placement permutations. Every core of a
+// cell, and every cell of a campaign at one seed, shuffles the same
+// (seed, rows) partition, so the shuffle runs once and the streams
+// share the result read-only. The memo is dropped whenever it passes
+// placementKeys entries, which bounds it for campaigns over many seeds.
+var placements struct {
+	sync.Mutex
+	m map[placementKey][]int32
+}
+
+type placementKey struct {
+	seed uint64
+	rows int
+}
+
+const placementKeys = 16
+
+// placement returns the seeded Fisher-Yates permutation of [0, rows).
+// The slice is shared: callers must not modify it.
+func placement(seed uint64, rows int) []int32 {
+	k := placementKey{seed, rows}
+	placements.Lock()
+	defer placements.Unlock()
+	if p, ok := placements.m[k]; ok {
+		return p
+	}
+	perm := make([]int32, rows)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	rng := splitMix{state: seed ^ 0x5eed5eed5eed}
+	for i := len(perm) - 1; i > 0; i-- {
+		j := int(rng.next() % uint64(i+1))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	if placements.m == nil || len(placements.m) >= placementKeys {
+		placements.m = make(map[placementKey][]int32)
+	}
+	placements.m[k] = perm
+	return perm
 }
 
 // MustNewStream is NewStream for statically valid parameters.

@@ -349,3 +349,36 @@ func TestGapMatchesMPKI(t *testing.T) {
 		t.Fatalf("gap = %d, want 12", r.Gap)
 	}
 }
+
+// TestPlacementMemo pins the shared page-placement permutation: one
+// shuffle per (seed, rows), a permutation of the partition, the same
+// contents after the bounded memo has been dropped and rebuilt.
+func TestPlacementMemo(t *testing.T) {
+	const rows = 3000
+	p := placement(42, rows)
+	if q := placement(42, rows); &q[0] != &p[0] {
+		t.Fatal("a second stream with the same seed and partition reshuffled")
+	}
+	seen := make([]bool, rows)
+	for _, v := range p {
+		if v < 0 || v >= rows || seen[v] {
+			t.Fatalf("placement is not a permutation of [0, %d): %d repeats or is out of range", rows, v)
+		}
+		seen[v] = true
+	}
+	want := append([]int32(nil), p...)
+	for seed := uint64(0); seed <= placementKeys; seed++ {
+		placement(1000+seed, rows)
+	}
+	placements.Lock()
+	n := len(placements.m)
+	placements.Unlock()
+	if n > placementKeys {
+		t.Fatalf("memo holds %d permutations, bound is %d", n, placementKeys)
+	}
+	for i, v := range placement(42, rows) {
+		if v != want[i] {
+			t.Fatalf("rebuilt placement differs at %d: %d, want %d", i, v, want[i])
+		}
+	}
+}
