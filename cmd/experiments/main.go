@@ -24,16 +24,15 @@
 //	-json FILE        write a machine-readable run report ("-" = stdout)
 //	-trace FILE       write a JSONL event trace (serializes the sweep)
 //	-trace-cap N      event ring capacity (oldest dropped beyond this)
-//	-resume FILE      checkpoint completed sweep cells to FILE and skip
-//	                  them on the next run (schema hydra-checkpoint/v1)
 //	-cell-timeout D   wall-clock budget per sweep cell (0 = unbounded)
 //	-stall-timeout D  kill cells whose simulated-cycle counter stalls
 //	                  this long (0 = no watchdog)
-//	-retries N        retry failed cells with a perturbed seed
 //	-chaos a,b        restrict the chaos target to the named scenarios
 //	-cache-dir DIR    persist the content-addressed result cache to DIR
 //	                  (schema hydra-cell-cache/v1) so identical cells
-//	                  replay across invocations
+//	                  replay across invocations; rerunning an
+//	                  interrupted campaign over the same DIR resumes it
+//	-resume DIR       alias for -cache-dir DIR
 //	-cache-max-bytes N  byte budget for -cache-dir: least-recently-used
 //	                  entries are evicted until the tier fits (0 =
 //	                  unbounded; corrupt entries quarantine regardless)
@@ -56,8 +55,8 @@
 // "cells" section and the remaining cells complete.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage error, 130
-// interrupted (SIGINT/SIGTERM; the checkpoint named by -resume holds
-// every completed cell, so rerunning with the same flags resumes).
+// interrupted (SIGINT/SIGTERM; the -cache-dir directory holds every
+// completed cell, so rerunning with the same flags resumes).
 package main
 
 import (
@@ -93,12 +92,11 @@ func run(ctx context.Context, args []string) error {
 	jsonOut := fs.String("json", "", "write a run-report JSON file (\"-\" = stdout)")
 	traceOut := fs.String("trace", "", "write a JSONL event trace (serializes the sweep)")
 	traceCap := fs.Int("trace-cap", 1<<20, "event-trace ring capacity")
-	resume := fs.String("resume", "", "checkpoint file: completed cells are skipped on rerun")
 	cellTimeout := fs.Duration("cell-timeout", 0, "wall-clock budget per sweep cell (0 = unbounded)")
 	stallTimeout := fs.Duration("stall-timeout", 0, "kill cells stalled this long (0 = no watchdog)")
-	retries := fs.Int("retries", 0, "retry failed cells with a perturbed seed")
 	chaos := fs.String("chaos", "", "comma-separated chaos scenarios (default: all built-ins)")
 	cacheDir := fs.String("cache-dir", "", "persist the result cache to this directory across runs")
+	fs.StringVar(cacheDir, "resume", "", "alias for -cache-dir: rerun over the same directory to resume")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "byte budget for -cache-dir; least-recently-used entries are evicted (0 = unbounded)")
 	noCache := fs.Bool("no-cache", false, "disable result caching (simulate every cell)")
 	costsFrom := fs.String("costs-from", "", "seed scheduler cell costs from this prior run report")
@@ -117,7 +115,6 @@ func run(ctx context.Context, args []string) error {
 		Seed:         seed,
 		CellTimeout:  *cellTimeout,
 		StallTimeout: *stallTimeout,
-		Retries:      *retries,
 		Ctx:          ctx,
 	}
 	if *workloads != "" {
@@ -125,19 +122,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *traceOut != "" {
 		opts.Trace = obsv.NewTracer(*traceCap)
-	}
-	if *resume != "" {
-		cp, err := harness.OpenCheckpoint(*resume)
-		if err != nil {
-			return err
-		}
-		if why := cp.Recovered(); why != "" {
-			fmt.Fprintf(os.Stderr, "[warning: %s]\n", why)
-		}
-		if n := cp.Len(); n > 0 {
-			fmt.Printf("[resuming: %d completed cells in %s]\n", n, *resume)
-		}
-		opts.Checkpoint = cp
 	}
 	if !*noCache {
 		// One cache across every target of this invocation: the shared
@@ -157,7 +141,7 @@ func run(ctx context.Context, args []string) error {
 		}
 		opts.Cache = cache
 	} else if *cacheDir != "" {
-		return cli.Usagef("-no-cache and -cache-dir are mutually exclusive")
+		return cli.Usagef("-no-cache and -cache-dir/-resume are mutually exclusive")
 	}
 	if *costsFrom != "" {
 		if opts.Cache == nil {
@@ -248,18 +232,7 @@ func run(ctx context.Context, args []string) error {
 
 	if opts.Cache != nil && *jsonOut != "-" {
 		if s := opts.Cache.Stats(); s.Hits+s.Misses > 0 {
-			fmt.Printf("[result cache: %d hits (%d mem, %d disk), %d misses, %d stored",
-				s.Hits, s.MemHits, s.DiskHits, s.Misses, s.Stores)
-			if opts.Cache.Dir() != "" {
-				fmt.Printf(", %d B read, %d B written", s.BytesRead, s.BytesWritten)
-			}
-			if s.CorruptDropped > 0 {
-				fmt.Printf(", %d corrupt entries dropped (%d quarantined)", s.CorruptDropped, s.Quarantined)
-			}
-			if s.Evicted > 0 {
-				fmt.Printf(", %d evicted", s.Evicted)
-			}
-			fmt.Println("]")
+			fmt.Println(cacheSummary(s, opts.Cache.Dir() != ""))
 		}
 	}
 
@@ -276,11 +249,32 @@ func run(ctx context.Context, args []string) error {
 	return stopProfiles()
 }
 
+// cacheSummary is the end-of-run result-cache line. The disk tier is
+// the only resume store, so a failed disk write is printed here
+// rather than left to the JSON report's cache.store_errors alone.
+func cacheSummary(s harness.CacheStats, disk bool) string {
+	line := fmt.Sprintf("[result cache: %d hits (%d mem, %d disk), %d misses, %d stored",
+		s.Hits, s.MemHits, s.DiskHits, s.Misses, s.Stores)
+	if disk {
+		line += fmt.Sprintf(", %d B read, %d B written", s.BytesRead, s.BytesWritten)
+	}
+	if s.CorruptDropped > 0 {
+		line += fmt.Sprintf(", %d corrupt entries dropped (%d quarantined)", s.CorruptDropped, s.Quarantined)
+	}
+	if s.Evicted > 0 {
+		line += fmt.Sprintf(", %d evicted", s.Evicted)
+	}
+	if s.StoreErrors > 0 {
+		line += fmt.Sprintf(", %d store errors", s.StoreErrors)
+	}
+	return line + "]"
+}
+
 // readCellCosts extracts per-cell wall-clock costs from a prior run
-// report: every cell that actually simulated (cached and restored
-// replays carry no timing signal) contributes its ElapsedSec under its
-// key; across reports the largest observation wins — the conservative
-// prior for longest-first scheduling.
+// report: every cell that actually simulated (cached replays carry no
+// timing signal) contributes its ElapsedSec under its key; across
+// reports the largest observation wins — the conservative prior for
+// longest-first scheduling.
 func readCellCosts(path string) (map[string]time.Duration, error) {
 	f, err := obsv.ReadReportFile(path)
 	if err != nil {
@@ -289,7 +283,7 @@ func readCellCosts(path string) (map[string]time.Duration, error) {
 	costs := map[string]time.Duration{}
 	for _, r := range f.Reports {
 		for _, c := range r.Cells {
-			if c.Status == obsv.CellCached || c.Status == obsv.CellRestored || c.ElapsedSec <= 0 {
+			if c.Status == obsv.CellCached || c.ElapsedSec <= 0 {
 				continue
 			}
 			if d := time.Duration(c.ElapsedSec * float64(time.Second)); d > costs[c.Key] {

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -101,20 +100,13 @@ func chaosProfile() workload.Profile {
 // scenario's faults injected and records whether the paper's guarantee
 // held or the security oracle detected the degradation. Either way the
 // failure mode is visible — a scenario only fails its cell when the
-// simulation itself errors.
+// simulation itself errors. Chaos cells have no cache key (the oracle
+// verdict comes from an Observer, not from sim.Result), so every run,
+// including a resumed one, simulates them.
 func Chaos(o Options, names []string) (*ChaosReport, error) {
 	o = o.withDefaults()
 	if o.Target == "" {
 		o.Target = "chaos"
-	}
-	if o.Checkpoint != nil && o.Checkpoint.Decode == nil {
-		o.Checkpoint.Decode = func(key string, raw json.RawMessage) (any, error) {
-			var row ChaosRow
-			if err := json.Unmarshal(raw, &row); err != nil {
-				return nil, err
-			}
-			return row, nil
-		}
 	}
 
 	var scenarios []faults.Scenario
@@ -154,7 +146,7 @@ func Chaos(o Options, names []string) (*ChaosReport, error) {
 				// the default T_RH=500 inside two windows — otherwise a
 				// genuine guarantee break could go unobserved.
 				cfg.WindowCycles = 2_000_000
-				cfg.Seed = o.seed() + uint64(env.Attempt)*0x9e3779b9
+				cfg.Seed = o.seed()
 				cfg.Attack = &sim.AttackSpec{
 					Rows: []uint32{victim - 1, victim + 1}, // double-sided
 					Acts: 60000,
@@ -193,8 +185,6 @@ func Chaos(o Options, names []string) (*ChaosReport, error) {
 		Workers:      o.Parallelism,
 		CellTimeout:  o.CellTimeout,
 		StallTimeout: o.StallTimeout,
-		Retries:      o.Retries,
-		Checkpoint:   o.Checkpoint,
 	})
 	if err != nil {
 		return nil, err
@@ -203,7 +193,6 @@ func Chaos(o Options, names []string) (*ChaosReport, error) {
 	for _, r := range hres {
 		st := obsv.CellStatus{
 			Key:        r.Key,
-			Attempts:   r.Attempts,
 			Panicked:   r.Panicked,
 			Stalled:    r.Stalled,
 			ElapsedSec: r.Elapsed.Seconds(),
@@ -213,11 +202,7 @@ func Chaos(o Options, names []string) (*ChaosReport, error) {
 			st.Status = obsv.CellFailed
 			st.Error = r.Err.Error()
 		default:
-			if r.Restored {
-				st.Status = obsv.CellRestored
-			} else {
-				st.Status = obsv.CellOK
-			}
+			st.Status = obsv.CellOK
 			row, ok := r.Value.(ChaosRow)
 			if !ok {
 				st.Status = obsv.CellFailed

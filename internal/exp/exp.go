@@ -45,11 +45,13 @@ type Options struct {
 	// every run of the sweep. Because runs execute concurrently, the
 	// harness serializes the sweep (Parallelism 1) while tracing and
 	// separates runs with EvRunStart markers tagged "scheme/workload".
+	// Traced cells get no cache key, so every cell of a traced sweep
+	// runs and appears in the trace.
 	Trace *obsv.Tracer
 
 	// Target names the experiment target; it prefixes every campaign
-	// cell key ("target/variant/workload") so checkpoints and run
-	// reports from different targets never collide. Default "sweep".
+	// cell key ("target/variant/workload") so events and run reports
+	// from different targets never collide. Default "sweep".
 	Target string
 	// CellTimeout bounds each sweep cell's wall-clock time; 0 leaves
 	// cells unbounded.
@@ -57,18 +59,15 @@ type Options struct {
 	// StallTimeout kills cells whose simulated-cycle counter stops
 	// advancing for this long (0 disables the watchdog).
 	StallTimeout time.Duration
-	// Retries re-runs failed cells up to this many extra times with a
-	// perturbed seed (see harness.Env.Attempt).
-	Retries int
-	// Checkpoint, when non-nil, restores previously completed cells and
-	// records new ones, enabling -resume across interrupted campaigns.
-	Checkpoint *harness.Checkpoint
 	// Cache, when non-nil, memoizes cell results by content-addressed
 	// config hash (sim.Config.CacheKey): identical cells across targets
 	// of one process — e.g. the non-secure baseline every figure
 	// re-simulates — run once and replay everywhere else, and with a
 	// disk-backed cache across invocations too. The recorded per-cell
-	// wall-clock also drives longest-first campaign scheduling.
+	// wall-clock also drives longest-first campaign scheduling. A
+	// disk-backed cache is the campaign's resume store: rerunning over
+	// the same directory replays every finished cell. Traced sweeps
+	// bypass it (see Trace).
 	Cache *harness.CellCache
 	// Bus, when non-nil, receives a hydra-cell-event/v1 CellEvent for
 	// every cell lifecycle transition, tagged with scheme, workload and
@@ -85,7 +84,7 @@ type Options struct {
 	// in-flight cells at their next progress poll and fails the sweep
 	// with the cancellation cause. The binaries pass the signal context
 	// from cli.Main here so SIGINT/SIGTERM shuts a campaign down
-	// gracefully (final checkpoint already flushed per finished cell).
+	// gracefully (every finished cell is already in the cache).
 	// Nil means context.Background() — never cancelled.
 	Ctx context.Context
 }
@@ -168,8 +167,8 @@ func (o Options) target() string {
 	return o.Target
 }
 
-// DecodeResult rebuilds a sim.Result from a checkpoint entry; install
-// it as Checkpoint.Decode when resuming sweep campaigns.
+// DecodeResult rebuilds a sim.Result from a cache entry; install it as
+// CellCache.Decode so disk-tier entries replay as sim.Result values.
 func DecodeResult(key string, raw json.RawMessage) (any, error) {
 	var r sim.Result
 	if err := json.Unmarshal(raw, &r); err != nil {
@@ -243,8 +242,6 @@ func (o Options) liveObserver() func(harness.CellResult) {
 			live.Count("campaign.cells.failed", 1)
 		case r.Cached:
 			live.Count("campaign.cells.cached", 1)
-		case r.Restored:
-			live.Count("campaign.cells.restored", 1)
 		default:
 			live.Count("campaign.cells.ok", 1)
 		}
@@ -258,14 +255,11 @@ func (o Options) liveObserver() func(harness.CellResult) {
 // a resilient harness campaign and returns results[variant][workload]
 // plus the per-cell verdicts and the cache traffic attributable to
 // this campaign (zero when o.Cache is nil). A cell failure (error,
-// panic, watchdog kill, timeout — after retries) does not fail the
+// panic, watchdog kill, timeout) does not fail the
 // matrix: the entry is simply absent from the result maps and its
 // CellStatus records the error. Callers decide how much of the matrix
 // they require.
 func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[string]map[string]sim.Result, []obsv.CellStatus, harness.CacheStats, error) {
-	if o.Checkpoint != nil && o.Checkpoint.Decode == nil {
-		o.Checkpoint.Decode = DecodeResult
-	}
 	if o.Cache != nil && o.Cache.Decode == nil {
 		o.Cache.Decode = DecodeResult
 	}
@@ -279,7 +273,7 @@ func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[
 			v, p := v, p
 			var hash string
 			var est float64
-			if o.Cache != nil {
+			if o.Cache != nil && o.Trace == nil {
 				hash, est = cellIdentity(o, p, v)
 			}
 			cells = append(cells, harness.Cell{
@@ -295,9 +289,6 @@ func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[
 				Run: func(ctx context.Context, env harness.Env) (any, error) {
 					cfg := o.baseConfig(p)
 					v.Mutate(&cfg)
-					// Reseed retries so a seed-dependent corner case is
-					// not replayed verbatim.
-					cfg.Seed += uint64(env.Attempt) * 0x9e3779b9
 					cfg.Ctx = ctx
 					cfg.Progress = env.Progress
 					if o.Trace != nil {
@@ -320,8 +311,6 @@ func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[
 		Workers:      o.Parallelism,
 		CellTimeout:  o.CellTimeout,
 		StallTimeout: o.StallTimeout,
-		Retries:      o.Retries,
-		Checkpoint:   o.Checkpoint,
 		Cache:        o.Cache,
 		Bus:          o.Bus,
 		OnCellDone:   o.liveObserver(),
@@ -347,7 +336,6 @@ func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[
 			i++
 			st := obsv.CellStatus{
 				Key:        r.Key,
-				Attempts:   r.Attempts,
 				Panicked:   r.Panicked,
 				Stalled:    r.Stalled,
 				ElapsedSec: r.Elapsed.Seconds(),
@@ -360,13 +348,9 @@ func runMatrix(o Options, profiles []workload.Profile, variants []Variant) (map[
 				st.Status = obsv.CellFailed
 				st.Error = r.Err.Error()
 			default:
-				switch {
-				case r.Cached:
+				st.Status = obsv.CellOK
+				if r.Cached {
 					st.Status = obsv.CellCached
-				case r.Restored:
-					st.Status = obsv.CellRestored
-				default:
-					st.Status = obsv.CellOK
 				}
 				res, ok := r.Value.(sim.Result)
 				if !ok {
@@ -418,8 +402,8 @@ type PerfReport struct {
 	// snapshots alongside the normalized performance. Failed cells are
 	// absent.
 	Results map[string]map[string]sim.Result
-	// Cells records every campaign cell's verdict, including failed,
-	// checkpoint-restored and cache-replayed cells.
+	// Cells records every campaign cell's verdict, including failed and
+	// cache-replayed cells.
 	Cells []obsv.CellStatus
 	// Cache is the result-cache traffic of this sweep (zero value when
 	// no cache was configured): how many cells were replayed versus

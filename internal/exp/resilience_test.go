@@ -2,9 +2,9 @@ package exp
 
 import (
 	"encoding/json"
-	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -65,61 +65,120 @@ func TestSweepIsolatesPanickingVariant(t *testing.T) {
 	}
 }
 
-// TestSweepCheckpointResume drives the -resume path end to end: a
-// first pass with a broken variant checkpoints its healthy cells; a
-// second pass against the same file reruns only what is missing.
-func TestSweepCheckpointResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "checkpoint.json")
-	o := Options{Scale: 64, Workloads: []string{"parest", "GUPS"}, Target: "resume"}
-
-	cp, err := harness.OpenCheckpoint(path)
+// sweepCountingStarts runs a sweep with a private event bus and returns
+// the report plus how many times each cell entered a worker.
+func sweepCountingStarts(t *testing.T, o Options, title string, schemes []Variant) (*PerfReport, map[string]int) {
+	t.Helper()
+	bus := harness.NewBus(0)
+	// Buffered well past the few events a small sweep publishes, so
+	// none is dropped before the drain below (checked via Dropped).
+	ch, _ := bus.Subscribe(1<<12, false)
+	o.Bus = bus
+	rep, err := Sweep(o, title, schemes)
+	bus.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Checkpoint = cp
-	rep1, err := Sweep(o, "pass 1", []Variant{
-		{Name: "flaky", Mutate: func(c *sim.Config) { panic("breaks on the first pass") }},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(FailedCells(rep1.Cells)); n != 2 {
-		t.Fatalf("pass 1 failed cells = %d, want 2", n)
-	}
-	if cp.Len() != 2 { // the two baseline cells
-		t.Fatalf("checkpoint holds %d cells after pass 1, want 2 (keys %v)", cp.Len(), cp.Keys())
-	}
-
-	// Second pass: same campaign keys, variant fixed. Only the two
-	// previously failed cells may execute.
-	cp2, err := harness.OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Checkpoint = cp2
-	var reran atomic.Int64
-	rep2, err := Sweep(o, "pass 2", []Variant{
-		{Name: "flaky", Mutate: func(c *sim.Config) { reran.Add(1) }},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := reran.Load(); n != 2 {
-		t.Fatalf("resume reran %d cells, want only the 2 missing ones", n)
-	}
-	var restored int
-	for _, c := range rep2.Cells {
-		if c.Status == obsv.CellRestored {
-			restored++
+	starts := map[string]int{}
+	for e := range ch {
+		if e.Kind == harness.EvStarted {
+			starts[e.Key]++
 		}
 	}
-	if restored != 2 { // the baseline cells came from the checkpoint
-		t.Fatalf("restored cells = %d, want 2 (cells %+v)", restored, rep2.Cells)
+	if d := bus.Dropped(); d > 0 {
+		t.Fatalf("bus dropped %d events", d)
+	}
+	return rep, starts
+}
+
+// TestSweepCacheResume drives resume over the one durable store, the
+// cache directory: a first pass with a broken variant fails its cells
+// after exactly one run each (no retry, no reseed) and caches the
+// healthy baseline cells; a second pass over the same directory, with
+// the variant fixed, simulates only the previously failed cells.
+func TestSweepCacheResume(t *testing.T) {
+	dir := t.TempDir()
+	o := Options{Scale: 64, Workloads: []string{"parest", "GUPS"}, Target: "resume"}
+
+	o.Cache = newCache(t, dir)
+	rep1, starts1 := sweepCountingStarts(t, o, "pass 1", []Variant{
+		{Name: "flaky", Mutate: func(c *sim.Config) { panic("breaks on the first pass") }},
+	})
+	failed := FailedCells(rep1.Cells)
+	if len(failed) != 2 {
+		t.Fatalf("pass 1 failed cells = %+v, want the 2 flaky ones", failed)
+	}
+	for _, c := range failed {
+		if !strings.HasPrefix(c.Key, "resume/flaky/") || !c.Panicked {
+			t.Errorf("pass 1: unexpected failure %+v", c)
+		}
+	}
+	for _, c := range rep1.Cells {
+		if n := starts1[c.Key]; n != 1 {
+			t.Errorf("pass 1: cell %s ran %d times, want exactly 1", c.Key, n)
+		}
+	}
+	if rep1.Cache.Stores != 2 { // the two baseline cells; failures store nothing
+		t.Fatalf("pass 1 stored %d cells, want 2 (cache %+v)", rep1.Cache.Stores, rep1.Cache)
+	}
+
+	// Second pass from a fresh cache instance over the same directory:
+	// only the two previously failed cells may run.
+	o.Cache = newCache(t, dir)
+	rep2, starts2 := sweepCountingStarts(t, o, "pass 2", []Variant{
+		{Name: "flaky", Mutate: func(c *sim.Config) {}},
+	})
+	for _, c := range rep2.Cells {
+		wantStarts, wantStatus := 0, obsv.CellCached
+		if strings.HasPrefix(c.Key, "resume/flaky/") {
+			wantStarts, wantStatus = 1, obsv.CellOK
+		}
+		if starts2[c.Key] != wantStarts || c.Status != wantStatus {
+			t.Errorf("pass 2: cell %s ran %d times with status %q, want %d and %q",
+				c.Key, starts2[c.Key], c.Status, wantStarts, wantStatus)
+		}
+	}
+	if rep2.Cache.DiskHits != 2 {
+		t.Fatalf("pass 2 disk hits = %d, want the 2 baseline cells", rep2.Cache.DiskHits)
 	}
 	if n := len(rep2.Norm["flaky"]); n != 2 {
 		t.Fatalf("pass 2 completed %d/2 flaky cells", n)
 	}
-	if cp2.Len() != 4 {
-		t.Fatalf("checkpoint holds %d cells after pass 2, want all 4", cp2.Len())
+}
+
+// TestTracedSweepNeverReplays pins that tracing bypasses the result
+// cache: a traced sweep run twice over one cache directory records one
+// EvRunStart per cell on both passes, so the second trace is as
+// complete as the first instead of silently missing every cell the
+// first pass stored.
+func TestTracedSweepNeverReplays(t *testing.T) {
+	dir := t.TempDir()
+	schemes := []Variant{{Name: "hydra", Mutate: func(c *sim.Config) { c.Tracker = sim.TrackHydra }}}
+	want := []string{"baseline/GUPS", "baseline/parest", "hydra/GUPS", "hydra/parest"}
+	for pass := 1; pass <= 2; pass++ {
+		o := Options{
+			Scale: 64, Workloads: []string{"parest", "GUPS"}, Target: "traced",
+			Cache: newCache(t, dir), Trace: obsv.NewTracer(1 << 20),
+		}
+		rep, err := Sweep(o, "traced", schemes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := o.Trace.Dropped(); d > 0 {
+			t.Fatalf("pass %d: trace ring dropped %d events; raise its capacity", pass, d)
+		}
+		var runs []string
+		for _, e := range o.Trace.Events() {
+			if e.Kind == obsv.EvRunStart {
+				runs = append(runs, e.Tag)
+			}
+		}
+		sort.Strings(runs)
+		if !slices.Equal(runs, want) {
+			t.Fatalf("pass %d: traced runs %v, want one per cell %v", pass, runs, want)
+		}
+		if n := countStatus(rep.Cells, obsv.CellOK); n != len(want) {
+			t.Fatalf("pass %d: %d cells simulated, want all %d (cells %+v)", pass, n, len(want), rep.Cells)
+		}
 	}
 }

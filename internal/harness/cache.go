@@ -95,7 +95,9 @@ type diskEntry struct {
 //     every figure of `experiments all`);
 //   - the optional on-disk tier (one JSON file per entry, written via
 //     iofault.WriteAtomic — temp file, fsync, rename, directory fsync)
-//     survives across runs. Corrupt, truncated or foreign-schema
+//     survives across runs. It is the campaign's only durable store:
+//     rerunning an interrupted campaign over the same directory replays
+//     every finished cell and simulates the rest. Corrupt, truncated or foreign-schema
 //     entries are moved to quarantine/ and counted, never fatal and
 //     never silently discarded.
 //
@@ -110,8 +112,8 @@ type diskEntry struct {
 //
 // Safe for concurrent use by campaign workers.
 type CellCache struct {
-	// Decode rebuilds a value from its stored JSON, exactly like
-	// Checkpoint.Decode (results cross the harness as `any`). When nil,
+	// Decode rebuilds a value from its stored JSON (results cross the
+	// harness as `any`; exp.DecodeResult rebuilds a sim.Result). When nil,
 	// on-disk entries cannot be rebuilt and count as misses; the
 	// in-memory tier still works.
 	Decode func(key string, raw json.RawMessage) (any, error)
@@ -407,7 +409,7 @@ func (c *CellCache) SeedCosts(costs map[string]time.Duration) {
 }
 
 // Store records a newly computed cell under its content hash, with the
-// wall-clock cost of the attempt that produced it. The value must be
+// wall-clock cost of the run that produced it. The value must be
 // JSON-marshalable when the disk tier is enabled. Disk-write failures
 // are counted and returned but leave the in-memory entry in place —
 // a full cache disk never fails a campaign. When a byte budget is set,

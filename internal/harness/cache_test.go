@@ -286,33 +286,57 @@ func TestCampaignLPTOrder(t *testing.T) {
 	}
 }
 
-// TestCampaignRetriedCellNotCached pins the purity rule: callers may
-// perturb retried cells (exp reseeds them), so a value computed on
-// attempt > 0 must not be stored under the attempt-0 content hash.
-func TestCampaignRetriedCellNotCached(t *testing.T) {
-	cache, err := NewCellCache("")
+// TestFailedCellNotCached pins the store's purity rule: nothing is
+// stored for a failed cell, so a later campaign over the same cache
+// dir simulates it again rather than serving a failure, and stores it
+// once it succeeds.
+func TestFailedCellNotCached(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := NewCellCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	attempts := 0
-	cells := []Cell{{
-		Key: "flaky", CacheKey: "flaky-hash",
-		Run: func(_ context.Context, env Env) (any, error) {
-			attempts++
-			if env.Attempt == 0 {
-				return nil, fmt.Errorf("transient")
-			}
-			return cacheVal{N: 1}, nil
-		},
-	}}
-	res, err := RunCampaign(context.Background(), cells, Options{Retries: 1, Backoff: time.Millisecond, Cache: cache})
+	runs := 0
+	mkCells := func(fail bool) []Cell {
+		return []Cell{{
+			Key: "doomed", CacheKey: "doomed-hash",
+			Run: func(context.Context, Env) (any, error) {
+				runs++
+				if fail {
+					return nil, fmt.Errorf("deterministic failure")
+				}
+				return cacheVal{N: 1}, nil
+			},
+		}}
+	}
+	res, err := RunCampaign(context.Background(), mkCells(true), Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Err != nil || attempts != 2 {
-		t.Fatalf("retry did not succeed: %+v (attempts %d)", res[0], attempts)
+	if res[0].Err == nil || runs != 1 {
+		t.Fatalf("want one failed run, got %+v after %d runs", res[0], runs)
 	}
-	if _, ok := cache.Lookup("flaky-hash"); ok {
-		t.Fatal("retried cell's value entered the cache under the original hash")
+	if _, ok := cache.Lookup("doomed-hash"); ok {
+		t.Fatal("failed cell entered the cache")
+	}
+	if s := cache.Stats(); s.Stores != 0 || s.BytesWritten != 0 {
+		t.Fatalf("failed cell was stored: %+v", s)
+	}
+
+	// A fresh process over the same dir reruns the cell.
+	cache2, err := NewCellCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache2.Decode = decodeCacheVal
+	res, err = RunCampaign(context.Background(), mkCells(false), Options{Cache: cache2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err != nil || res[0].Cached || runs != 2 {
+		t.Fatalf("rerun: want a fresh successful run, got %+v after %d runs", res[0], runs)
+	}
+	if v, ok := cache2.Lookup("doomed-hash"); !ok || v != (cacheVal{N: 1}) {
+		t.Fatalf("fixed cell not stored: %v %v", v, ok)
 	}
 }

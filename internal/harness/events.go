@@ -9,18 +9,16 @@ import (
 // bump on breaking changes so stream consumers can dispatch.
 const CellEventSchema = "hydra-cell-event/v1"
 
-// Cell event kinds, in rough lifecycle order. cached, restored, done
-// and failed are terminal: a campaign publishes exactly one terminal
+// Cell event kinds, in rough lifecycle order. cached, done and failed
+// are terminal: a campaign publishes exactly one terminal
 // event per cell, matching the cell's row in the run report.
 const (
 	EvQueued   = "queued"   // cell admitted to the campaign (after the cache pre-pass)
-	EvStarted  = "started"  // first attempt entered a worker
-	EvProgress = "progress" // periodic simulated-cycle sample from the running attempt
-	EvRetried  = "retried"  // a failed attempt is being retried (Attempt = new attempt number)
+	EvStarted  = "started"  // cell entered a worker
+	EvProgress = "progress" // periodic simulated-cycle sample from the running cell
 	EvCached   = "cached"   // terminal: value replayed from the result cache
-	EvRestored = "restored" // terminal: value restored from a checkpoint
 	EvDone     = "done"     // terminal: computed successfully
-	EvFailed   = "failed"   // terminal: all attempts failed; Error holds the last one
+	EvFailed   = "failed"   // terminal: the cell failed; Error holds why
 )
 
 // CellEvent is one observation of a campaign cell's lifecycle,
@@ -38,22 +36,20 @@ type CellEvent struct {
 	// Tags carries the caller's cell labels (the experiment layer sets
 	// scheme, workload and seed — see exp.Options).
 	Tags map[string]string `json:"tags,omitempty"`
-	// Attempt is the 0-based attempt number (started/retried/terminal).
-	Attempt int `json:"attempt,omitempty"`
 	// Cycles is the cell's latest simulated-cycle count: the live value
 	// for progress events, the final one for done/failed.
 	Cycles int64 `json:"cycles,omitempty"`
 	// ElapsedSec is the cell's wall-clock time so far (terminal events:
-	// total including retries and backoff).
+	// the total).
 	ElapsedSec float64 `json:"elapsed_sec,omitempty"`
-	// Error is the last attempt's error, on failed events.
+	// Error is the cell's error, on failed events.
 	Error string `json:"error,omitempty"`
 }
 
 // Terminal reports whether the event settles its cell.
 func (e CellEvent) Terminal() bool {
 	switch e.Kind {
-	case EvCached, EvRestored, EvDone, EvFailed:
+	case EvCached, EvDone, EvFailed:
 		return true
 	}
 	return false

@@ -10,12 +10,14 @@
 //   - a progress watchdog cancels cells whose simulated-cycle counter
 //     stops advancing for longer than a stall deadline, and a wall-clock
 //     timeout bounds each cell outright;
-//   - failed cells are retried with capped backoff; the attempt number
-//     is passed back in so the caller can reseed, separating
-//     seed-dependent corner cases from deterministic bugs;
-//   - completed cells are written to an optional JSON checkpoint
-//     (see Checkpoint), so an interrupted campaign resumes by
-//     recomputing only the missing cells.
+//   - a failed cell is reported as failed after one attempt. The
+//     simulator is deterministic, so a rerun would replay the same
+//     failure; retrying with another seed would hide the bug instead;
+//   - completed cells with a CacheKey are written to the optional
+//     content-addressed CellCache, whose disk tier is the campaign's
+//     only durable store: an interrupted campaign resumes by rerunning
+//     it over the same cache directory, which recomputes only the
+//     missing cells.
 //
 // Cells cooperate through two channels: they honor ctx cancellation
 // (the simulator polls it between events) and report simulated cycles
@@ -49,12 +51,8 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("harness: cell panicked: %v", e.Value)
 }
 
-// Env is the per-attempt environment the harness hands to a cell.
+// Env is the environment the harness hands to a running cell.
 type Env struct {
-	// Attempt is the 0-based attempt number. Retried cells should fold
-	// it into their RNG seed so a seed-dependent failure is not simply
-	// replayed.
-	Attempt int
 	// Progress reports the cell's simulated-cycle counter. The watchdog
 	// declares a stall when the reported value stops increasing — calls
 	// repeating the same value do not keep a cell alive. Safe to call
@@ -64,12 +62,13 @@ type Env struct {
 
 // Cell is one unit of campaign work.
 type Cell struct {
-	// Key identifies the cell in checkpoints and results; campaign keys
+	// Key identifies the cell in events and results; campaign keys
 	// must be unique. The experiment layer uses "target/variant/workload".
 	Key string
 	// Run computes the cell. It must honor ctx cancellation and should
 	// report progress via env.Progress. The returned value must be
-	// JSON-marshalable when checkpointing is enabled.
+	// JSON-marshalable when the cell has a CacheKey and the cache has a
+	// disk tier.
 	Run func(ctx context.Context, env Env) (any, error)
 	// CacheKey is the cell's content-addressed identity — a hash of
 	// everything that determines its outcome (see sim.Config.CacheKey).
@@ -92,17 +91,15 @@ type CellResult struct {
 	Key      string
 	Value    any   // nil when Err != nil
 	Err      error // nil on success
-	Attempts int   // attempts actually made (0 when restored)
-	Panicked bool  // at least one attempt panicked
-	Stalled  bool  // at least one attempt was killed by the watchdog
-	Restored bool  // value came from the checkpoint; Run never called
+	Panicked bool  // the cell panicked
+	Stalled  bool  // the cell was killed by the watchdog
 	Cached   bool  // value replayed from the result cache; Run never called
 	Elapsed  time.Duration
 	// Cycles is the last simulated-cycle value the cell reported via
 	// Env.Progress — how far a failed cell got, and a harness-level
 	// cross-check for completed ones. Tracked only when the campaign
-	// has a Bus or a stall watchdog; 0 otherwise (and for cached or
-	// restored cells, which never run).
+	// has a Bus or a stall watchdog; 0 otherwise (and for cached
+	// cells, which never run).
 	Cycles int64
 }
 
@@ -111,34 +108,25 @@ type Options struct {
 	// Workers bounds pool concurrency (default GOMAXPROCS, at most the
 	// number of cells).
 	Workers int
-	// CellTimeout is the wall-clock budget per attempt (0 = unbounded).
+	// CellTimeout is the wall-clock budget per cell (0 = unbounded).
 	CellTimeout time.Duration
-	// StallTimeout kills an attempt whose progress counter has not
+	// StallTimeout kills a cell whose progress counter has not
 	// advanced for this long (0 disables the watchdog).
 	StallTimeout time.Duration
-	// Retries is the number of extra attempts after a failure.
-	Retries int
-	// Backoff is the sleep before the first retry, doubling per attempt
-	// and capped at 16x (default 100ms when Retries > 0).
-	Backoff time.Duration
-	// Checkpoint, when non-nil, restores completed cells before running
-	// and stores each newly completed cell.
-	Checkpoint *Checkpoint
 	// Cache, when non-nil, resolves cells by CacheKey before the workers
 	// start (hits never enter the pool) and records each newly computed
 	// cell's value and wall-clock cost. Cells left to run are ordered
 	// longest-processing-time-first using the cache's recorded costs,
 	// falling back to Cell.EstCost.
 	Cache *CellCache
-	// OnCellDone, when non-nil, observes each settled cell (restored,
-	// succeeded, or exhausted). Called from worker goroutines; must be
+	// OnCellDone, when non-nil, observes each settled cell (cached,
+	// succeeded, or failed). Called from worker goroutines; must be
 	// safe for concurrent use.
 	OnCellDone func(CellResult)
 	// Bus, when non-nil, receives a structured CellEvent for every cell
-	// lifecycle transition (queued, started, progress, retried, cached,
-	// restored, done, failed), for live progress rendering and the
-	// obsv.Server /events NDJSON stream. Publishing never blocks the
-	// worker pool. The campaign does not close the bus — the caller
+	// lifecycle transition (queued, started, progress, cached, done,
+	// failed), for live progress rendering and the obsv.Server /events
+	// NDJSON stream. Publishing never blocks the worker pool. The campaign does not close the bus — the caller
 	// owns its lifetime (it may span several campaigns of one run).
 	Bus *Bus
 	// ProgressEvery throttles per-cell progress events on the bus
@@ -160,17 +148,6 @@ func (o Options) workers(cells int) int {
 		w = 1
 	}
 	return w
-}
-
-func (o Options) backoff(attempt int) time.Duration {
-	b := o.Backoff
-	if b <= 0 {
-		b = 100 * time.Millisecond
-	}
-	for i := 1; i < attempt && i < 5; i++ {
-		b *= 2
-	}
-	return b
 }
 
 // RunCampaign executes the cells and returns one result per cell, in
@@ -335,25 +312,12 @@ func publishCell(b *Bus, kind string, cell Cell, mut func(*CellEvent)) {
 	b.Publish(e)
 }
 
-// runCell settles one cell: checkpoint restore, then up to 1+Retries
-// attempts with backoff.
+// runCell settles one cell: one run with panic recovery, wall-clock
+// timeout, the stall watchdog and the bus progress sampler. A
+// successful cell with a CacheKey is stored in the cache.
 func runCell(ctx context.Context, cell Cell, opts Options) CellResult {
 	start := time.Now()
 	res := CellResult{Key: cell.Key}
-	if opts.Checkpoint != nil {
-		if v, ok, err := opts.Checkpoint.Restore(cell.Key); err != nil {
-			// A corrupt entry is not fatal: fall through and recompute.
-			res.Err = err
-		} else if ok {
-			res.Value = v
-			res.Restored = true
-			res.Elapsed = time.Since(start)
-			publishCell(opts.Bus, EvRestored, cell, func(e *CellEvent) {
-				e.ElapsedSec = res.Elapsed.Seconds()
-			})
-			return res
-		}
-	}
 	var obs *cellObs
 	if opts.Bus != nil || opts.StallTimeout > 0 {
 		every := opts.ProgressEvery
@@ -362,61 +326,8 @@ func runCell(ctx context.Context, cell Cell, opts Options) CellResult {
 		}
 		obs = &cellObs{cell: cell, bus: opts.Bus, start: start, every: every}
 	}
-	for attempt := 0; attempt <= opts.Retries; attempt++ {
-		if attempt > 0 {
-			t := time.NewTimer(opts.backoff(attempt))
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				res.Err = fmt.Errorf("harness: campaign aborted: %w", context.Cause(ctx))
-				res.Elapsed = time.Since(start)
-				return res
-			}
-		}
-		kind, at := EvStarted, attempt
-		if attempt > 0 {
-			kind = EvRetried
-		}
-		publishCell(opts.Bus, kind, cell, func(e *CellEvent) {
-			e.Attempt = at
-			e.ElapsedSec = time.Since(start).Seconds()
-		})
-		attemptStart := time.Now()
-		v, err := runAttempt(ctx, cell, attempt, opts, obs)
-		attemptElapsed := time.Since(attemptStart)
-		res.Attempts = attempt + 1
-		if err == nil {
-			res.Value = v
-			res.Err = nil
-			if opts.Cache != nil && cell.CacheKey != "" && attempt == 0 {
-				// Best-effort: a failed disk write is counted in the cache
-				// stats but never fails a computed cell. Only first-attempt
-				// results are stored — callers may perturb retried cells
-				// (exp reseeds them), so a retry's value no longer matches
-				// the content hash computed from the original inputs.
-				_ = opts.Cache.Store(cell.CacheKey, cell.Key, v, attemptElapsed)
-			}
-			if opts.Checkpoint != nil {
-				if cerr := opts.Checkpoint.Store(cell.Key, v); cerr != nil {
-					res.Err = fmt.Errorf("harness: cell %q succeeded but checkpoint failed: %w", cell.Key, cerr)
-					res.Value = nil
-				}
-			}
-			break
-		}
-		res.Err = err
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			res.Panicked = true
-		}
-		if errors.Is(err, ErrStalled) {
-			res.Stalled = true
-		}
-		if ctx.Err() != nil {
-			break // campaign-level cancel: do not burn retries
-		}
-	}
+	publishCell(opts.Bus, EvStarted, cell, nil)
+	res.Value, res.Err = runGuarded(ctx, cell, opts, obs)
 	res.Elapsed = time.Since(start)
 	if obs != nil {
 		res.Cycles = obs.cycles.Load()
@@ -424,9 +335,15 @@ func runCell(ctx context.Context, cell Cell, opts Options) CellResult {
 	kind := EvDone
 	if res.Err != nil {
 		kind = EvFailed
+		var pe *PanicError
+		res.Panicked = errors.As(res.Err, &pe)
+		res.Stalled = errors.Is(res.Err, ErrStalled)
+	} else if opts.Cache != nil && cell.CacheKey != "" {
+		// Best-effort: a failed disk write is counted in the cache stats
+		// but never fails a computed cell.
+		_ = opts.Cache.Store(cell.CacheKey, cell.Key, res.Value, res.Elapsed)
 	}
 	publishCell(opts.Bus, kind, cell, func(e *CellEvent) {
-		e.Attempt = res.Attempts - 1
 		e.Cycles = res.Cycles
 		e.ElapsedSec = res.Elapsed.Seconds()
 		if res.Err != nil {
@@ -436,9 +353,9 @@ func runCell(ctx context.Context, cell Cell, opts Options) CellResult {
 	return res
 }
 
-// runAttempt executes one attempt with panic recovery, wall-clock
+// runGuarded executes the cell's Run with panic recovery, wall-clock
 // timeout, the stall watchdog, and the bus progress sampler.
-func runAttempt(ctx context.Context, cell Cell, attempt int, opts Options, obs *cellObs) (v any, err error) {
+func runGuarded(ctx context.Context, cell Cell, opts Options, obs *cellObs) (v any, err error) {
 	if opts.CellTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeoutCause(ctx, opts.CellTimeout,
@@ -466,10 +383,10 @@ func runAttempt(ctx context.Context, cell Cell, attempt int, opts Options, obs *
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return cell.Run(ctx, Env{Attempt: attempt, Progress: progress})
+	return cell.Run(ctx, Env{Progress: progress})
 }
 
-// watchdog cancels an attempt when the reported progress value stops
+// watchdog cancels a cell when the reported progress value stops
 // increasing for longer than the stall deadline.
 type watchdog struct {
 	latest atomic.Int64

@@ -51,12 +51,9 @@ func summarizeReport(b *strings.Builder, r *obsv.Report, top int) {
 
 	if len(r.Cells) > 0 {
 		counts := map[string]int{}
-		retried, panicked, stalled := 0, 0, 0
+		panicked, stalled := 0, 0
 		for _, c := range r.Cells {
 			counts[c.Status]++
-			if c.Attempts > 1 {
-				retried++
-			}
 			if c.Panicked {
 				panicked++
 			}
@@ -65,13 +62,10 @@ func summarizeReport(b *strings.Builder, r *obsv.Report, top int) {
 			}
 		}
 		fmt.Fprintf(b, "  cells: %d total", len(r.Cells))
-		for _, st := range []string{obsv.CellOK, obsv.CellCached, obsv.CellRestored, obsv.CellFailed, obsv.CellBaselineMissing} {
+		for _, st := range []string{obsv.CellOK, obsv.CellCached, obsv.CellFailed, obsv.CellBaselineMissing} {
 			if counts[st] > 0 {
 				fmt.Fprintf(b, " · %d %s", counts[st], st)
 			}
-		}
-		if retried > 0 {
-			fmt.Fprintf(b, " · %d retried", retried)
 		}
 		if panicked > 0 {
 			fmt.Fprintf(b, " · %d panicked", panicked)
@@ -147,12 +141,12 @@ func summarizeReport(b *strings.Builder, r *obsv.Report, top int) {
 }
 
 // slowestCells returns the top-n cells by wall-clock, slowest first.
-// Cached and restored cells are skipped: replaying a value in
+// Cached cells are skipped: replaying a value in
 // microseconds is not a scheduling signal.
 func slowestCells(cells []obsv.CellStatus, n int) []obsv.CellStatus {
 	var ran []obsv.CellStatus
 	for _, c := range cells {
-		if c.Status == obsv.CellCached || c.Status == obsv.CellRestored || c.ElapsedSec <= 0 {
+		if c.Status == obsv.CellCached || c.ElapsedSec <= 0 {
 			continue
 		}
 		ran = append(ran, c)

@@ -28,10 +28,10 @@ func report(target string, hydraAll float64) *obsv.Report {
 		"memsim.readq_depth": {Type: obsv.TypeHistogram, Value: float64(h.N), Hist: &h},
 	}
 	r.Cells = []obsv.CellStatus{
-		{Key: target + "/hydra/parest", Status: obsv.CellOK, Attempts: 1, ElapsedSec: 1.25, Cycles: 3_200_000},
-		{Key: target + "/hydra/GUPS", Status: obsv.CellOK, Attempts: 2, ElapsedSec: 0.5, Cycles: 1_000_000},
+		{Key: target + "/hydra/parest", Status: obsv.CellOK, ElapsedSec: 1.25, Cycles: 3_200_000},
+		{Key: target + "/hydra/GUPS", Status: obsv.CellOK, ElapsedSec: 0.5, Cycles: 1_000_000},
 		{Key: target + "/graphene/parest", Status: obsv.CellCached},
-		{Key: target + "/graphene/GUPS", Status: obsv.CellFailed, Error: "boom", Attempts: 3, ElapsedSec: 0.2},
+		{Key: target + "/graphene/GUPS", Status: obsv.CellFailed, Error: "boom", ElapsedSec: 0.2},
 	}
 	return r
 }
@@ -42,7 +42,7 @@ func TestSummarize(t *testing.T) {
 	for _, want := range []string{
 		"experiments/fig5",
 		"cells: 4 total",
-		"2 ok", "1 cached", "1 failed", "2 retried",
+		"2 ok", "1 cached", "1 failed",
 		"fig5/hydra/parest", // slowest cell
 		"Mcyc/s",
 		"geomeans",
