@@ -20,7 +20,15 @@ BENCHFLAGS ?=
 # (records the speedup the current tree delivers over it).
 PREV     ?=
 
-.PHONY: all build test check soak bench bench-smoke bench-baseline bench-compare bench-json figures profile clean
+# perf-pairs settings: the parent revision to compare against (required),
+# the number of alternating parent/change pairs, the perfbench workload
+# and each run's timed seconds.
+PARENT   ?=
+PAIRS    ?= 8
+WORKLOAD ?= sweep-heavy
+SECONDS  ?= 20
+
+.PHONY: all build test check soak bench bench-smoke bench-baseline bench-compare bench-json perf-pairs figures profile clean
 
 all: build test
 
@@ -83,6 +91,15 @@ bench-baseline:
 bench-compare:
 	$(GO) test -p 1 -bench . -benchmem -run '^$$' ./... \
 		| $(GO) run ./cmd/benchgate -compare $(BASELINE) -tolerance $(BENCHTOL) $(BENCHFLAGS)
+
+# perf-pairs measures the working tree against PARENT on the campaign
+# benchmark: alternating perfbench runs, one pair per seed, then the
+# median, quartiles and change/parent ratio of every end-to-end metric
+# and both sides' digests (scripts/perf_pairs.sh). The parent checkout
+# is a temporary git worktree under .bench_build/.
+perf-pairs:
+	@test -n "$(PARENT)" || { echo "perf-pairs: set PARENT=<rev>"; exit 2; }
+	bash scripts/perf_pairs.sh $(PARENT) $(PAIRS) $(WORKLOAD) $(SECONDS)
 
 # bench-json writes the machine-readable perf trajectory artifact: a
 # fast, fixed sweep (fig5 on a representative workload subset) whose

@@ -79,7 +79,8 @@ func Default() Config {
 // ForThreshold returns the default configuration scaled for a different
 // row-hammer threshold: halving T_RH doubles the GCT and RCC, matching
 // the paper's sensitivity study (Section 6.3, "structures scaled
-// proportionately").
+// proportionately"). The RCC is rounded up to whole sets of RCCWays
+// entries, so every threshold yields a valid geometry.
 func ForThreshold(trh int) Config {
 	c := Default()
 	if trh <= 0 {
@@ -89,6 +90,7 @@ func ForThreshold(trh int) Config {
 	scale := 500.0 / float64(trh)
 	c.GCTEntries = scaleEntries(32*1024, scale)
 	c.RCCEntries = scaleEntries(8*1024, scale)
+	c.RCCEntries += (c.RCCWays - c.RCCEntries%c.RCCWays) % c.RCCWays
 	return c
 }
 

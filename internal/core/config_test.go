@@ -58,6 +58,9 @@ func TestForThresholdScalesStructures(t *testing.T) {
 	if d.TH != 62 || d.TG != 49 {
 		t.Errorf("TRH=125: TH=%d TG=%d, want 62/49", d.TH, d.TG)
 	}
+	if c := ForThreshold(4800); c.RCCEntries != 864 || c.Validate() != nil {
+		t.Errorf("TRH=4800: RCC=%d (%v), want 853 rounded up to 864 whole 16-way sets", c.RCCEntries, c.Validate())
+	}
 	if got := ForThreshold(0); got.TRH != 500 {
 		t.Errorf("ForThreshold(0) should fall back to default, got TRH=%d", got.TRH)
 	}

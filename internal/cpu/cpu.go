@@ -52,11 +52,13 @@ type outstandingRead struct {
 
 // Core is one trace-driven core.
 type Core struct {
-	id     int
-	cfg    Config
-	trace  TraceSource
-	mem    Memory
-	time   int64 // fetch clock
+	id    int
+	cfg   Config
+	trace TraceSource
+	mem   Memory
+	time  int64 // fetch clock
+	// nextAt is when the core acts next: Infinity while it is blocked
+	// or done, so NextTime is one load on the simulator's core scan.
 	nextAt int64
 
 	instCount int64 // instructions fetched so far
@@ -137,12 +139,7 @@ func (c *Core) FinishTime() int64 { return c.finish }
 
 // NextTime returns when the core can act next; Infinity while blocked
 // on an unserviced read or when done.
-func (c *Core) NextTime() int64 {
-	if c.Done() || c.blocked {
-		return memsim.Infinity
-	}
-	return c.nextAt
-}
+func (c *Core) NextTime() int64 { return c.nextAt }
 
 // wake is called by the memory system when a read completes.
 func (c *Core) wake(idx int, finish int64) {
@@ -254,6 +251,7 @@ func (c *Core) retireAll() {
 		c.reads = c.reads[1:]
 	}
 	c.finish = c.time
+	c.nextAt = memsim.Infinity
 }
 
 // Debug renders internal state for diagnostics.

@@ -198,3 +198,46 @@ func TestBadConfigErrors(t *testing.T) {
 		t.Fatal("nil trace/memory should error")
 	}
 }
+
+// TestNextTimeInfiniteWhileBlockedOrDone pins the core-scan contract
+// the simulator relies on: NextTime is Infinity exactly while the core
+// is blocked on the ROB window or done, and finite otherwise.
+func TestNextTimeInfiniteWhileBlockedOrDone(t *testing.T) {
+	mem := memsim.New(memsim.DefaultConfig(dram.Baseline()))
+	dcfg := dram.Baseline()
+	var reqs []workload.Request
+	// Row conflicts on one bank: each read waits tRC behind the last,
+	// so the core outruns the scheduler and blocks on undecided reads.
+	for i := 0; i < 64; i++ {
+		reqs = append(reqs, workload.Request{Line: line(dcfg, 0, i, 0)})
+	}
+	c := MustNew(0, Config{ROB: 8, Width: 4}, &sliceTrace{reqs: reqs}, mem)
+	blocked := 0
+	for steps := 0; !c.Done(); steps++ {
+		if steps > 1_000_000 {
+			t.Fatalf("core did not finish: %s", c.Debug())
+		}
+		if got, want := c.NextTime() == memsim.Infinity, c.blocked; got != want {
+			t.Fatalf("step %d: NextTime()=%d with blocked=%v", steps, c.NextTime(), c.blocked)
+		}
+		if c.blocked {
+			blocked++
+		}
+		memNext, ct := mem.NextTime(), c.NextTime()
+		if ct < memNext {
+			c.Step()
+			continue
+		}
+		h := min(memNext+mem.Lookahead(), ct)
+		if h <= memNext {
+			h = memNext + 1
+		}
+		mem.RunEpoch(h)
+	}
+	if blocked == 0 {
+		t.Fatal("the core never blocked on its ROB window")
+	}
+	if got := c.NextTime(); got != memsim.Infinity {
+		t.Fatalf("NextTime() = %d after Done, want Infinity", got)
+	}
+}

@@ -124,6 +124,85 @@ func (c Config) Decode(line uint64) Loc {
 	return l
 }
 
+// Place is a line's location in the form the memory controller
+// consumes on every request: the channel, the bank as an index within
+// its channel (Rank*BanksPerRank + the bank within the rank), the rank,
+// the row within the bank, and the global row (GlobalRow of the line's
+// Loc).
+type Place struct {
+	Channel   int32
+	Rank      int32
+	Bank      int32
+	Row       int32
+	GlobalRow uint32
+}
+
+// Mapping is Decode precomputed for one geometry. When every dimension
+// is a power of two, as in every shipped geometry, each field of a
+// Place is one shift and one mask of the line address; otherwise Place
+// falls back to Decode.
+type Mapping struct {
+	cfg  Config
+	pow2 bool
+	// Shifts of the bank and row fields, and the field masks. The bank
+	// field spans the rank bits above the bank-in-rank bits, so it reads
+	// as the channel-local bank index directly.
+	bankShift, rowShift, rankBits uint
+	chMask, bankMask, rowMask     uint64
+	gBankShift, gChShift          uint // bank and channel offsets in a global row
+}
+
+// Mapping returns the precomputed address mapping of c.
+func (c Config) Mapping() Mapping {
+	m := Mapping{cfg: c}
+	banks := c.RanksPerChannel * c.BanksPerRank
+	for _, n := range [...]int{c.Channels, c.LinesPerRow(), c.BanksPerRank, c.RanksPerChannel, c.RowsPerBank} {
+		if n <= 0 || n&(n-1) != 0 {
+			return m
+		}
+	}
+	log2 := func(n int) uint { return uint(bits.TrailingZeros64(uint64(n))) }
+	m.pow2 = true
+	m.bankShift = log2(c.Channels) + log2(c.LinesPerRow())
+	m.rowShift = m.bankShift + log2(banks)
+	m.rankBits = log2(c.BanksPerRank)
+	m.chMask = uint64(c.Channels - 1)
+	m.bankMask = uint64(banks - 1)
+	m.rowMask = uint64(c.RowsPerBank - 1)
+	m.gBankShift = log2(c.RowsPerBank)
+	m.gChShift = m.gBankShift + log2(banks)
+	return m
+}
+
+// Place maps a line address to its Place; it agrees with Decode and
+// GlobalRow on every line.
+func (m *Mapping) Place(line uint64) Place {
+	if !m.pow2 {
+		return m.cfg.place(m.cfg.Decode(line))
+	}
+	ch := line & m.chMask
+	bank := line >> m.bankShift & m.bankMask
+	row := line >> m.rowShift & m.rowMask
+	return Place{
+		Channel:   int32(ch),
+		Rank:      int32(bank >> m.rankBits),
+		Bank:      int32(bank),
+		Row:       int32(row),
+		GlobalRow: uint32(ch<<m.gChShift | bank<<m.gBankShift | row),
+	}
+}
+
+// place converts a decoded Loc into a Place.
+func (c Config) place(l Loc) Place {
+	return Place{
+		Channel:   int32(l.Channel),
+		Rank:      int32(l.Rank),
+		Bank:      int32(l.Rank*c.BanksPerRank + l.Bank),
+		Row:       int32(l.Row),
+		GlobalRow: c.GlobalRow(l),
+	}
+}
+
 // divmod returns x/n and x%n. Every shipped geometry has power-of-two
 // dimensions, for which it shifts and masks instead of dividing: the
 // runtime divisions were most of Decode's cost on the per-request path.

@@ -47,6 +47,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 var mappingGeometries = map[string]Config{
 	"baseline": Baseline(),
 	"ddr5":     DDR5(),
+	"4ch":      {Channels: 4, RanksPerChannel: 2, BanksPerRank: 16, RowsPerBank: 65536, RowBytes: 8192},
 	"odd":      {Channels: 3, RanksPerChannel: 1, BanksPerRank: 12, RowsPerBank: 3000, RowBytes: 8192},
 	"odd-cols": {Channels: 2, RanksPerChannel: 3, BanksPerRank: 16, RowsPerBank: 1000, RowBytes: 6144},
 }
@@ -126,6 +127,34 @@ func TestDecodeMatchesDivision(t *testing.T) {
 			row := uint32(rng.Intn(c.TotalRows()))
 			if got, want := c.RowLoc(row), divRowLoc(c, row); got != want {
 				t.Fatalf("%s: RowLoc(%d) = %+v, division gives %+v", name, row, got, want)
+			}
+		}
+	}
+}
+
+// TestMappingMatchesDecode pins the precomputed Mapping to Decode and
+// GlobalRow on every mapping geometry, for in-range and arbitrary
+// lines: the shift-and-mask path on power-of-two geometries and the
+// Decode fallback on the others.
+func TestMappingMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for name, c := range mappingGeometries {
+		m := c.Mapping()
+		lines := uint64(c.TotalBytes()) / LineBytes
+		for i := 0; i < 20000; i++ {
+			raw := rng.Uint64()
+			for _, line := range []uint64{raw, raw % lines} {
+				l := c.Decode(line)
+				want := Place{
+					Channel:   int32(l.Channel),
+					Rank:      int32(l.Rank),
+					Bank:      int32(l.Rank*c.BanksPerRank + l.Bank),
+					Row:       int32(l.Row),
+					GlobalRow: c.GlobalRow(l),
+				}
+				if got := m.Place(line); got != want {
+					t.Fatalf("%s: Place(%#x) = %+v, Decode gives %+v", name, line, got, want)
+				}
 			}
 		}
 	}

@@ -95,6 +95,20 @@ func TestArenaRestricted(t *testing.T) {
 	}
 }
 
+// TestArenaFuncTrackersBuildAtDefaultThresholds builds every scheme of
+// the functional matrix at every default arena threshold: at T_RH 4800
+// Hydra's scaled RCC (853 entries) once failed validation for not
+// filling whole 16-way sets, which aborted the default arena.
+func TestArenaFuncTrackersBuildAtDefaultThresholds(t *testing.T) {
+	for _, trh := range DefaultArenaThresholds {
+		for _, name := range ArenaFuncSchemes() {
+			if _, err := ArenaFuncTracker(name, arenaSecurityGeometry(), trh, 1); err != nil {
+				t.Errorf("%s@%d: %v", name, trh, err)
+			}
+		}
+	}
+}
+
 func TestArenaRejectsBadThreshold(t *testing.T) {
 	if _, err := Arena(Options{Workloads: []string{"parest"}}, []int{1}); err == nil {
 		t.Fatal("threshold 1 accepted")

@@ -49,6 +49,11 @@ type channel struct {
 	dispatchAt int64 // earliest next scheduling decision (pacing)
 	openBanks  int64 // banks with an open row (occupancy sampling)
 
+	// Per-decision samples of the read, write and metadata queue
+	// depths and of the open-bank count, one counter per value;
+	// Memory.Stats folds them into the histograms of Stats.
+	readQDepth, writeQDepth, metaQDepth, openBanksN tally
+
 	// events buffers this channel's side effects (completions,
 	// activation-hook calls, refresh trace events) until the epoch
 	// barrier replays them; evHead is the drain cursor. See epoch.go.
@@ -83,6 +88,11 @@ func newChannel(cfg *Config, sh *shared, id int) *channel {
 		fawIdx:  make([]int, cfg.Mem.RanksPerChannel),
 		nextRef: make([]int64, cfg.Mem.RanksPerChannel),
 		nextAt:  Infinity,
+
+		readQDepth:  newTally(readQBounds),
+		writeQDepth: newTally(writeQBounds),
+		metaQDepth:  newTally(metaQBounds),
+		openBanksN:  newTally(openBankBounds),
 	}
 	c.mitigQ.init(nBanks, false)
 	c.readQ.init(nBanks, true)
@@ -92,13 +102,6 @@ func newChannel(cfg *Config, sh *shared, id int) *channel {
 		c.banks[i].openRow = -1
 		c.banks[i].lastAct = -Infinity
 	}
-	// Queue-depth buckets cover the default capacities; deeper custom
-	// queues land in the overflow bucket. Bounds are fixed so that
-	// per-channel histograms merge in Memory.Stats.
-	c.stats.ReadQDepth = obsv.NewHist(obsv.PowersOfTwo(64)...)
-	c.stats.WriteQDepth = obsv.NewHist(obsv.PowersOfTwo(128)...)
-	c.stats.MetaQDepth = obsv.NewHist(obsv.PowersOfTwo(64)...)
-	c.stats.OpenBanks = obsv.NewHist(obsv.PowersOfTwo(32)...)
 	for r := range c.faw {
 		for j := range c.faw[r] {
 			c.faw[r][j] = -Infinity
@@ -112,9 +115,78 @@ func newChannel(cfg *Config, sh *shared, id int) *channel {
 	return c
 }
 
-func (c *channel) bankIdx(r *Request) int {
-	return r.loc.Rank*c.cfg.Mem.BanksPerRank + r.loc.Bank
+// Histogram bounds of the per-decision samples. Queue-depth buckets
+// cover the default capacities; deeper custom queues land in the
+// overflow bucket. Bounds are fixed so that per-channel histograms
+// merge in Memory.Stats.
+var (
+	readQBounds    = obsv.PowersOfTwo(64)
+	writeQBounds   = obsv.PowersOfTwo(128)
+	metaQBounds    = obsv.PowersOfTwo(64)
+	openBankBounds = obsv.PowersOfTwo(32)
+)
+
+// tally counts the non-negative samples of one histogram. Recording a
+// sample is an increment, which keeps histogram bucketing off the
+// per-decision path; hist folds the counts once, when statistics are
+// read. Values up to the last bound get a counter each, grown on
+// demand because most cells never see deep queues; every value past
+// it lands in the overflow bucket, so for those a count, a sum and a
+// maximum are all hist needs.
+type tally struct {
+	bounds  []int64
+	counts  []int64 // counts[v]: samples of value v
+	over    int64   // samples past the last bound
+	overSum int64
+	overMax int64
 }
+
+func newTally(bounds []int64) tally { return tally{bounds: bounds} }
+
+func (t *tally) add(v int) {
+	if v < len(t.counts) {
+		t.counts[v]++
+		return
+	}
+	t.addSlow(v)
+}
+
+// addSlow is kept out of line so that add inlines into step.
+//
+//go:noinline
+func (t *tally) addSlow(v int) {
+	last := int(t.bounds[len(t.bounds)-1])
+	if v > last {
+		t.over++
+		t.overSum += int64(v)
+		t.overMax = max(t.overMax, int64(v))
+		return
+	}
+	// At least double, so a queue deepening one request at a time
+	// reallocates only logarithmically.
+	grown := make([]int64, min(max(v+1, 2*len(t.counts), 16), last+1))
+	copy(grown, t.counts)
+	t.counts = grown
+	t.counts[v]++
+}
+
+// hist returns the histogram that observing every sample would have
+// built.
+func (t *tally) hist() obsv.Hist {
+	h := obsv.NewHist(t.bounds...)
+	for v, n := range t.counts {
+		h.ObserveN(int64(v), n)
+	}
+	if t.over > 0 {
+		h.Counts[len(t.bounds)] += t.over
+		h.N += t.over
+		h.Sum += t.overSum
+		h.Max = max(h.Max, t.overMax)
+	}
+	return h
+}
+
+func (c *channel) bankIdx(r *Request) int { return int(r.at.Bank) }
 
 func (c *channel) queueFor(k Kind) *reqQueue {
 	switch k {
@@ -181,10 +253,10 @@ func (c *channel) step() {
 	c.promote(&c.readQ, now)
 	c.promote(&c.metaQ, now)
 	c.promote(&c.writeQ, now)
-	c.stats.ReadQDepth.Observe(int64(c.readQ.len()))
-	c.stats.WriteQDepth.Observe(int64(c.writeQ.len()))
-	c.stats.MetaQDepth.Observe(int64(c.metaQ.len()))
-	c.stats.OpenBanks.Observe(c.openBanks)
+	c.readQDepth.add(c.readQ.len())
+	c.writeQDepth.add(c.writeQ.len())
+	c.metaQDepth.add(c.metaQ.len())
+	c.openBanksN.add(int(c.openBanks))
 
 	r, from := c.pick(now)
 	if r == nil {
@@ -389,7 +461,7 @@ func (c *channel) service(r *Request, now int64) {
 		if t := b.lastAct + tm.TRC; t > actAt {
 			actAt = t
 		}
-		if t := c.fawReady(r.loc.Rank); t > actAt {
+		if t := c.fawReady(int(r.at.Rank)); t > actAt {
 			actAt = t
 		}
 		b.lastAct = actAt
@@ -398,7 +470,7 @@ func (c *channel) service(r *Request, now int64) {
 			c.rowChanged(bi)
 		}
 		b.readyAt = actAt + tm.TRC
-		c.fawPush(r.loc.Rank, actAt)
+		c.fawPush(int(r.at.Rank), actAt)
 		c.stats.MitigActs++
 		c.stats.Activates++
 		activatedAt = actAt
@@ -406,7 +478,7 @@ func (c *channel) service(r *Request, now int64) {
 	} else {
 		isWrite := r.Kind == WriteReq || r.Kind == MetaWrite
 		var casAt int64
-		if b.openRow == r.loc.Row {
+		if b.openRow == int(r.at.Row) {
 			c.stats.RowHits++
 			casAt = start
 		} else {
@@ -424,13 +496,13 @@ func (c *channel) service(r *Request, now int64) {
 			if t := b.lastAct + tm.TRC; t > actAt {
 				actAt = t
 			}
-			if t := c.fawReady(r.loc.Rank); t > actAt {
+			if t := c.fawReady(int(r.at.Rank)); t > actAt {
 				actAt = t
 			}
 			b.lastAct = actAt
-			b.openRow = r.loc.Row
+			b.openRow = int(r.at.Row)
 			c.rowChanged(bi)
-			c.fawPush(r.loc.Rank, actAt)
+			c.fawPush(int(r.at.Rank), actAt)
 			c.stats.Activates++
 			activatedAt = actAt
 			casAt = actAt + tm.TRCD
@@ -489,7 +561,7 @@ func (c *channel) service(r *Request, now int64) {
 	if activatedAt >= 0 && c.cfg.OnACT != nil {
 		c.events = append(c.events, chanEvent{
 			dec: now, t: activatedAt, kind: evAct,
-			row: c.cfg.Mem.GlobalRow(r.loc), rkind: r.Kind,
+			row: r.at.GlobalRow, rkind: r.Kind,
 		})
 	}
 }

@@ -76,7 +76,7 @@ func newLinChannel(cfg *Config, id int) *linChannel {
 }
 
 func (c *linChannel) bankIdx(r *Request) int {
-	return r.loc.Rank*c.cfg.Mem.BanksPerRank + r.loc.Bank
+	return int(r.at.Bank)
 }
 
 func (c *linChannel) submit(r *Request) bool {
@@ -263,7 +263,7 @@ func (c *linChannel) frfcfs(q []*Request, now int64) *Request {
 		if est < now {
 			est = now
 		}
-		if b.openRow != r.loc.Row {
+		if b.openRow != int(r.at.Row) {
 			est += c.cfg.Timing.TRP + c.cfg.Timing.TRCD
 		}
 		if best == nil || est < bestEst || (est == bestEst && r.seq < best.seq) {
@@ -316,13 +316,13 @@ func (c *linChannel) service(r *Request, now int64) {
 		if t := b.lastAct + tm.TRC; t > actAt {
 			actAt = t
 		}
-		if t := c.fawReady(r.loc.Rank); t > actAt {
+		if t := c.fawReady(int(r.at.Rank)); t > actAt {
 			actAt = t
 		}
 		b.lastAct = actAt
 		b.openRow = -1
 		b.readyAt = actAt + tm.TRC
-		c.fawPush(r.loc.Rank, actAt)
+		c.fawPush(int(r.at.Rank), actAt)
 		c.stats.MitigActs++
 		c.stats.Activates++
 		activatedAt = actAt
@@ -330,7 +330,7 @@ func (c *linChannel) service(r *Request, now int64) {
 	} else {
 		isWrite := r.Kind == WriteReq || r.Kind == MetaWrite
 		var casAt int64
-		if b.openRow == r.loc.Row {
+		if b.openRow == int(r.at.Row) {
 			c.stats.RowHits++
 			casAt = start
 		} else {
@@ -346,12 +346,12 @@ func (c *linChannel) service(r *Request, now int64) {
 			if t := b.lastAct + tm.TRC; t > actAt {
 				actAt = t
 			}
-			if t := c.fawReady(r.loc.Rank); t > actAt {
+			if t := c.fawReady(int(r.at.Rank)); t > actAt {
 				actAt = t
 			}
 			b.lastAct = actAt
-			b.openRow = r.loc.Row
-			c.fawPush(r.loc.Rank, actAt)
+			b.openRow = int(r.at.Row)
+			c.fawPush(int(r.at.Rank), actAt)
 			c.stats.Activates++
 			activatedAt = actAt
 			casAt = actAt + tm.TRCD
@@ -399,7 +399,7 @@ func (c *linChannel) service(r *Request, now int64) {
 		r.OnFinish(r, finish)
 	}
 	if activatedAt >= 0 && c.cfg.OnACT != nil {
-		c.cfg.OnACT(c.cfg.Mem.GlobalRow(r.loc), r.Kind, activatedAt)
+		c.cfg.OnACT(r.at.GlobalRow, r.Kind, activatedAt)
 	}
 }
 
@@ -447,8 +447,21 @@ func newLinMemory(cfg Config) *linMemory {
 }
 
 func (m *linMemory) Submit(r *Request) bool {
-	r.loc = m.cfg.Mem.Decode(r.Line)
-	return m.channels[r.loc.Channel].submit(r)
+	r.at = decodePlace(m.cfg.Mem, r.Line)
+	return m.channels[r.at.Channel].submit(r)
+}
+
+// decodePlace is the reference placement: Config.Decode and GlobalRow,
+// never the precomputed dram.Mapping the indexed scheduler uses.
+func decodePlace(mem dram.Config, line uint64) dram.Place {
+	l := mem.Decode(line)
+	return dram.Place{
+		Channel:   int32(l.Channel),
+		Rank:      int32(l.Rank),
+		Bank:      int32(l.Rank*mem.BanksPerRank + l.Bank),
+		Row:       int32(l.Row),
+		GlobalRow: mem.GlobalRow(l),
+	}
 }
 
 func (m *linMemory) NextTime() int64 {

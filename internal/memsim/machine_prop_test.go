@@ -65,6 +65,28 @@ func schedSegments() map[string]segmentFunc {
 			}
 			return specs, clock
 		},
+		// A row-hit stream on one bank, arriving faster than the bus
+		// serves it, behind one older conflicting request of the same
+		// class, for longer than starvationAge. For the first
+		// starvationAge cycles no aging entry can be starving and
+		// starvingPick returns at once; after that the victim is
+		// rescued from behind the hits. Metadata reads are never
+		// refused, so their variant also grows the queue past the
+		// depth histogram's last bound.
+		"starve-long": func(t *proptest.T, mem dram.Config, specs []reqSpec, clock int64) ([]reqSpec, int64) {
+			kind := proptest.SampledFrom([]Kind{ReadReq, MetaRead, WriteReq}).Draw(t, "kind")
+			victim := specAt(t, mem, kind, 185, clock)
+			specs = append(specs, victim)
+			loc := mem.Decode(victim.line)
+			loc.Row = proptest.SampledFrom(schedRows[:2]).Draw(t, "row")
+			n := proptest.IntRange(1100, 1600).Draw(t, "n")
+			for i := 0; i < n; i++ {
+				clock += int64(proptest.IntRange(2, 6).Draw(t, "gap"))
+				loc.Col = i % mem.LinesPerRow()
+				specs = append(specs, reqSpec{line: mem.Encode(loc), kind: kind, arrive: clock})
+			}
+			return specs, clock
+		},
 		// Jump the clock to just around the next tREFI boundary so
 		// requests arrive while a refresh is due or in flight.
 		"refresh-collide": func(t *proptest.T, mem dram.Config, specs []reqSpec, clock int64) ([]reqSpec, int64) {
@@ -139,15 +161,21 @@ func genSchedConfig(t *proptest.T, mem dram.Config) Config {
 	return cfg
 }
 
-func schedulerEquivProp(tb testing.TB) func(*proptest.T) {
+// segmentNames returns the names of every generated segment, sorted:
+// SampledFrom needs a deterministic order, and map iteration is not.
+func segmentNames() []string {
+	var names []string
+	for name := range schedSegments() {
+		names = append(names, name)
+	}
+	sortStrings(names)
+	return names
+}
+
+// schedulerEquivProp draws its segments from segNames.
+func schedulerEquivProp(segNames []string) func(*proptest.T) {
 	mem := dram.Baseline()
 	segments := schedSegments()
-	segNames := make([]string, 0, len(segments))
-	for name := range segments {
-		segNames = append(segNames, name)
-	}
-	// Deterministic order for SampledFrom (map iteration is not).
-	sortStrings(segNames)
 	return func(t *proptest.T) {
 		nseg := proptest.IntRange(1, 10).Draw(t, "segments")
 		var specs []reqSpec
@@ -262,11 +290,7 @@ func driveEpochs(m *Memory, specs []reqSpec) []schedEvent {
 // `make soak` (thorough).
 func epochEquivProp(tb testing.TB) func(*proptest.T) {
 	segments := schedSegments()
-	segNames := make([]string, 0, len(segments))
-	for name := range segments {
-		segNames = append(segNames, name)
-	}
-	sortStrings(segNames)
+	segNames := segmentNames()
 	return func(t *proptest.T) {
 		mem := dram.Baseline()
 		mem.Channels = []int{1, 2, 4}[proptest.IntRange(0, 2).Draw(t, "channels")]
@@ -328,7 +352,14 @@ func sortStrings(s []string) {
 // TestSchedulerEquivalenceMachine is the generated counterpart of
 // TestDifferentialSchedulerEquivalence.
 func TestSchedulerEquivalenceMachine(t *testing.T) {
-	proptest.Check(t, schedulerEquivProp(t))
+	proptest.Check(t, schedulerEquivProp(segmentNames()))
+}
+
+// leapfrogSegments is the segment list TestRegressionOutOfOrderArrivalLeapfrog's
+// trace was recorded against. SampledFrom picks by index, so replaying
+// against a longer list would decode the trace into other segments.
+var leapfrogSegments = []string{
+	"idle", "meta-storm", "mixed", "refresh-collide", "same-cycle", "starve", "write-burst",
 }
 
 // TestRegressionOutOfOrderArrivalLeapfrog replays the machine's
@@ -362,5 +393,5 @@ func TestRegressionOutOfOrderArrivalLeapfrog(t *testing.T) {
 		0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0,
 		0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0,
 		0x8fa04da357c56fe,
-	}, schedulerEquivProp(t))
+	}, schedulerEquivProp(leapfrogSegments))
 }

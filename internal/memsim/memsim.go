@@ -76,7 +76,7 @@ type Request struct {
 	// from the pool; read User inside the callback, don't retain r.
 	OnFinish func(r *Request, finish int64)
 
-	loc    dram.Loc
+	at     dram.Place
 	seq    int64
 	qpos   int32 // index in its bank bucket while queued
 	pooled bool  // recycle into the free list after service
@@ -196,6 +196,7 @@ func (s Stats) CollectInto(r *obsv.Registry) {
 // and every callback runs on the caller's goroutine.
 type Memory struct {
 	cfg      Config
+	mapping  dram.Mapping
 	sh       shared
 	channels []*channel
 	epochs   int64
@@ -210,7 +211,7 @@ func New(cfg Config) *Memory {
 	if cfg.ReadQCap <= 0 || cfg.WriteQCap <= 0 || cfg.DrainHi > cfg.WriteQCap || cfg.DrainLo >= cfg.DrainHi {
 		panic(fmt.Sprintf("memsim: bad queue config %+v", cfg))
 	}
-	m := &Memory{cfg: cfg}
+	m := &Memory{cfg: cfg, mapping: cfg.Mem.Mapping()}
 	for c := 0; c < cfg.Mem.Channels; c++ {
 		m.channels = append(m.channels, newChannel(&m.cfg, &m.sh, c))
 	}
@@ -221,8 +222,8 @@ func New(cfg Config) *Memory {
 // relevant queue is full; the caller must retry later (NextTime will
 // advance as the controller drains).
 func (m *Memory) Submit(r *Request) bool {
-	r.loc = m.cfg.Mem.Decode(r.Line)
-	return m.channels[r.loc.Channel].submit(r)
+	r.at = m.mapping.Place(r.Line)
+	return m.channels[r.at.Channel].submit(r)
 }
 
 // NextTime returns the earliest time any channel can act, or Infinity
@@ -265,10 +266,10 @@ func (m *Memory) Stats() Stats {
 		s.DrainExits += c.stats.DrainExits
 		s.ReadQFull += c.stats.ReadQFull
 		s.WriteQFull += c.stats.WriteQFull
-		s.ReadQDepth.Merge(c.stats.ReadQDepth)
-		s.WriteQDepth.Merge(c.stats.WriteQDepth)
-		s.MetaQDepth.Merge(c.stats.MetaQDepth)
-		s.OpenBanks.Merge(c.stats.OpenBanks)
+		s.ReadQDepth.Merge(c.readQDepth.hist())
+		s.WriteQDepth.Merge(c.writeQDepth.hist())
+		s.MetaQDepth.Merge(c.metaQDepth.hist())
+		s.OpenBanks.Merge(c.openBanksN.hist())
 		if c.stats.BusyUntil > s.BusyUntil {
 			s.BusyUntil = c.stats.BusyUntil
 		}

@@ -1,9 +1,12 @@
 package memsim
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/obsv"
 )
 
 func testMem(hook func(uint32, Kind, int64)) *Memory {
@@ -395,5 +398,48 @@ func TestDrainedMemoryIsIdle(t *testing.T) {
 	drain(m)
 	if !m.Idle() {
 		t.Fatal("drained memory not idle")
+	}
+}
+
+// TestDepthTallyMatchesObserve checks that folding the per-value
+// sample counts gives exactly the histogram Hist.Observe builds from
+// the same samples, past the last bound included, and that a memory
+// whose metadata queue grows past that bound reports the same
+// statistics as the linear reference, which observes every sample.
+func TestDepthTallyMatchesObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, bounds := range [][]int64{readQBounds, writeQBounds, metaQBounds, openBankBounds} {
+		tl := newTally(bounds)
+		want := obsv.NewHist(bounds...)
+		if got := tl.hist(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("empty tally folds to %+v, want %+v", got, want)
+		}
+		for i := 0; i < 5000; i++ {
+			v := rng.Intn(2*int(bounds[len(bounds)-1]) + 50)
+			tl.add(v)
+			want.Observe(int64(v))
+		}
+		if got := tl.hist(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("bounds %v: folded %+v, observed %+v", bounds, got, want)
+		}
+	}
+
+	mem := dram.Baseline()
+	var specs []reqSpec
+	for i := 0; i < 150; i++ {
+		specs = append(specs, reqSpec{line: lineAt(mem, 0, i%16, i, 0), kind: MetaRead})
+	}
+	cfgA := DefaultConfig(mem)
+	idx := New(cfgA)
+	driveStream(idx, func(h func(uint32, Kind, int64)) { idx.cfg.OnACT = h }, specs)
+	cfgB := DefaultConfig(mem)
+	lin := newLinMemory(cfgB)
+	driveStream(lin, func(h func(uint32, Kind, int64)) { lin.cfg.OnACT = h }, specs)
+	got := idx.Stats()
+	if last := metaQBounds[len(metaQBounds)-1]; got.MetaQDepth.Max <= last {
+		t.Fatalf("metadata queue peaked at %d, want past the last bound %d", got.MetaQDepth.Max, last)
+	}
+	if want := lin.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stats diverged:\nindexed:   %+v\nreference: %+v", got, want)
 	}
 }

@@ -15,20 +15,21 @@ func (sh *shared) nextSeq() int64 {
 	return sh.seq
 }
 
-// get returns a zeroed pooled request.
+// get returns a pooled request, zeroed apart from pooled and seq:
+// release zeroed it already.
 func (sh *shared) get() *Request {
 	if n := len(sh.free); n > 0 {
 		r := sh.free[n-1]
 		sh.free[n-1] = nil
 		sh.free = sh.free[:n-1]
-		*r = Request{pooled: true}
 		return r
 	}
 	return &Request{pooled: true}
 }
 
-// release returns a serviced pooled request to the free list. The
-// negative seq keeps any stale index entries pointing at it dead.
+// release zeroes a serviced pooled request and returns it to the free
+// list. The negative seq keeps any stale index entries pointing at it
+// dead until submit gives it a new one.
 func (sh *shared) release(r *Request) {
 	*r = Request{pooled: true, seq: -1}
 	sh.free = append(sh.free, r)

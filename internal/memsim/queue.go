@@ -237,7 +237,7 @@ func (b *bucket) push(r *Request, openRow int) {
 	// Maintain the cached best hit: a new request upgrades a cached
 	// "no hit", and an out-of-order one can be older than the cached
 	// hit itself.
-	if b.hitValid && r.loc.Row == openRow &&
+	if b.hitValid && int(r.at.Row) == openRow &&
 		(b.bestHit == nil || r.seq < b.bestHit.seq) {
 		b.bestHit = r
 	}
@@ -279,7 +279,7 @@ func (b *bucket) bestHitFor(openRow int) *Request {
 		b.bestHit = nil
 		if openRow >= 0 {
 			for i := b.head; i < len(b.items); i++ {
-				if r := b.items[i]; r != nil && r.loc.Row == openRow {
+				if r := b.items[i]; r != nil && int(r.at.Row) == openRow {
 					b.bestHit = r
 					break
 				}
@@ -321,12 +321,16 @@ type reqQueue struct {
 	starve   bool
 	aging    entQueue // arrived requests by Arrive, pending the age bound
 	starving entQueue // requests past starvationAge, by seq
+	// agingMin is the least key in aging (Infinity when empty), so
+	// starvingPick can tell in O(1) that no request can be starving.
+	agingMin int64
 }
 
 func (q *reqQueue) init(nBanks int, starve bool) {
 	q.buckets = make([]bucket, nBanks)
 	q.liveSet = make([]uint64, (nBanks+63)/64)
 	q.starve = starve
+	q.agingMin = Infinity
 }
 
 // len counts every queued request, arrived or not (queue-capacity and
@@ -349,6 +353,7 @@ func (q *reqQueue) insertReady(r *Request, bank, openRow int) {
 	q.readyN++
 	if q.starve {
 		q.aging.push(heapEnt{r, r.Arrive, r.seq})
+		q.agingMin = min(q.agingMin, r.Arrive)
 	}
 }
 
@@ -398,13 +403,21 @@ func (q *reqQueue) oldestReady() *Request {
 // exceeds starvationAge, or nil. Requests migrate from the aging queue
 // (keyed by Arrive) into the starving queue (keyed by seq) as the
 // threshold passes them; served requests are discarded lazily by the
-// stamp check.
+// stamp check. While no aging entry has passed the threshold and none
+// is starving, it returns at once.
 func (q *reqQueue) starvingPick(now int64) *Request {
 	th := now - starvationAge
+	if q.agingMin >= th && q.starving.len() == 0 {
+		return nil
+	}
 	for q.aging.len() > 0 && q.aging.front().key < th {
 		if e := q.aging.pop(); e.r.seq == e.stamp {
 			q.starving.push(heapEnt{e.r, e.stamp, e.stamp})
 		}
+	}
+	q.agingMin = Infinity
+	if q.aging.len() > 0 {
+		q.agingMin = q.aging.front().key
 	}
 	for q.starving.len() > 0 {
 		if e := q.starving.front(); e.r.seq == e.stamp {

@@ -2,9 +2,10 @@ package obsv
 
 import "fmt"
 
-// Hist is a fixed-bucket histogram over non-negative int64 samples,
-// cheap enough to sit on a simulator scheduling path: Observe is a
-// handful of compares and three adds. Unlike stats.Histogram it is a
+// Hist is a fixed-bucket histogram over non-negative int64 samples:
+// Observe is a handful of compares and three adds, and ObserveN folds
+// in pre-counted samples (memsim counts its per-decision samples by
+// value and folds them once). Unlike stats.Histogram it is a
 // value type with a stable JSON shape, so memory-controller stats can
 // embed it directly and run reports can carry it.
 //
@@ -44,19 +45,26 @@ func PowersOfTwo(max int64) []int64 {
 }
 
 // Observe records one sample.
-func (h *Hist) Observe(v int64) {
-	h.N++
-	h.Sum += v
+func (h *Hist) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of value v, exactly as n calls of
+// Observe(v) would; n == 0 records nothing.
+func (h *Hist) ObserveN(v, n int64) {
+	if n == 0 {
+		return
+	}
+	h.N += n
+	h.Sum += v * n
 	if v > h.Max {
 		h.Max = v
 	}
 	for i, b := range h.Bounds {
 		if v <= b {
-			h.Counts[i]++
+			h.Counts[i] += n
 			return
 		}
 	}
-	h.Counts[len(h.Bounds)]++
+	h.Counts[len(h.Bounds)] += n
 }
 
 // Mean returns the mean of all recorded samples (0 when empty).

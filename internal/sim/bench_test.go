@@ -26,20 +26,7 @@ func benchConfig(p string) Config {
 // memory-intensive workload with Hydra tracking: the wall-clock cost
 // of one campaign cell, dominated by the memsim scheduling hot path.
 func BenchmarkFullSystemHydra(b *testing.B) {
-	cfg := benchConfig("parest")
-	b.ReportAllocs()
-	b.ResetTimer()
-	var insts int64
-	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts = res.Insts
-	}
-	if insts == 0 {
-		b.Fatal("benchmark simulated no instructions")
-	}
+	benchFullSystem(b, benchConfig("parest"))
 }
 
 // BenchmarkFullSystemBaseline measures the same cell without tracking
@@ -47,13 +34,7 @@ func BenchmarkFullSystemHydra(b *testing.B) {
 func BenchmarkFullSystemBaseline(b *testing.B) {
 	cfg := benchConfig("parest")
 	cfg.Tracker = TrackNone
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFullSystem(b, cfg)
 }
 
 // BenchmarkFullSystemHydra4ch is the same cell as
@@ -63,11 +44,29 @@ func BenchmarkFullSystemBaseline(b *testing.B) {
 func BenchmarkFullSystemHydra4ch(b *testing.B) {
 	cfg := benchConfig("parest")
 	cfg.Mem.Channels = 4
+	benchFullSystem(b, cfg)
+}
+
+// benchFullSystem runs cfg b.N times. Besides ns/op it reports ns/req,
+// the cost per memory request served (demand reads and writes,
+// metadata transfers and mitigation activations), and req/epoch: a
+// configuration that makes the model do more work per cell, such as
+// Hydra's metadata traffic, then does not read as slower code.
+func benchFullSystem(b *testing.B, cfg Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
+	var res Result
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
+		var err error
+		if res, err = Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	m := res.Mem
+	reqs := m.Reads + m.Writes + m.MetaReads + m.MetaWrites + m.MitigActs
+	if res.Insts == 0 || reqs == 0 {
+		b.Fatal("benchmark simulated no instructions or requests")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(reqs), "ns/req")
+	b.ReportMetric(float64(reqs)/float64(m.Epochs), "req/epoch")
 }

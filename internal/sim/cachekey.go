@@ -30,7 +30,11 @@ import (
 // metadata traffic — enters the queues up to one controller lookahead
 // (~a hundred cycles) later than under the old per-event interleaving,
 // shifting results for every configuration with a tracker.
-const CacheKeyVersion = "hydra-cell/v4"
+// v5: Graphene, DAPPER and START replace the floor row that has sat at
+// the spillover floor longest when their table is full, where they
+// took an arbitrary one in Go's randomized map order; runs that fill a
+// table now compute one deterministic result.
+const CacheKeyVersion = "hydra-cell/v5"
 
 // Cacheable reports whether a run's outcome is fully determined by the
 // fields CanonicalString hashes. Runs with side-effecting attachments

@@ -106,45 +106,10 @@ func (d *DAPPER) jitter(row rh.Row) int {
 // jittered, early-only mitigation point.
 func (d *DAPPER) Activate(row rh.Row) bool {
 	b := &d.banks[d.geom.bank(row)]
-	cut := d.threshold - d.jitter(row)
-	if e, ok := b.entries[row]; ok {
-		b.setCount(row, e, e.count+1)
-		if e.count-e.lastMitig >= cut {
-			e.lastMitig = e.count
-			d.Mitigations++
-			return true
-		}
-		return false
+	if i, _ := b.activate(row); i >= 0 && b.due(i, d.threshold-d.jitter(row)) {
+		d.Mitigations++
+		return true
 	}
-	if len(b.entries) < b.capacity {
-		e := &grapheneEntry{count: -1}
-		b.entries[row] = e
-		b.setCount(row, e, 1)
-		return false
-	}
-	if floor, ok := b.byCount[b.spillover]; ok {
-		var victim rh.Row
-		for victim = range floor {
-			break
-		}
-		ve := b.entries[victim]
-		delete(floor, victim)
-		if len(floor) == 0 {
-			delete(b.byCount, b.spillover)
-		}
-		delete(b.entries, victim)
-		ve.lastMitig = b.spillover
-		ve.count = -1
-		b.entries[row] = ve
-		b.setCount(row, ve, b.spillover+1)
-		if ve.count-ve.lastMitig >= cut {
-			ve.lastMitig = ve.count
-			d.Mitigations++
-			return true
-		}
-		return false
-	}
-	b.spillover++
 	return false
 }
 
@@ -157,7 +122,7 @@ func (d *DAPPER) MetaRows() int { return 0 }
 // ResetWindow implements rh.Tracker.
 func (d *DAPPER) ResetWindow() {
 	for i := range d.banks {
-		d.banks[i] = newGrapheneBank(d.perBank)
+		d.banks[i].reset()
 	}
 }
 
@@ -170,9 +135,5 @@ func (d *DAPPER) SRAMBytes() int {
 
 // EstimatedCount returns the tracker's estimate for a row (for tests).
 func (d *DAPPER) EstimatedCount(row rh.Row) int {
-	b := &d.banks[d.geom.bank(row)]
-	if e, ok := b.entries[row]; ok {
-		return e.count
-	}
-	return b.spillover
+	return d.banks[d.geom.bank(row)].estimate(row)
 }

@@ -113,48 +113,16 @@ func (s *START) Threshold() int { return s.threshold }
 // the shared pool: hit increments, miss inserts, a full pool replaces
 // a row stranded at the spillover floor or raises the floor.
 func (s *START) Activate(row rh.Row) bool {
-	b := &s.pool
-	if e, ok := b.entries[row]; ok {
-		b.setCount(row, e, e.count+1)
-		if e.count-e.lastMitig >= s.threshold {
-			e.lastMitig = e.count
-			s.Mitigations++
-			return true
-		}
-		return false
-	}
-	if len(b.entries) < b.capacity {
-		e := &grapheneEntry{count: -1}
-		b.entries[row] = e
-		b.setCount(row, e, 1)
-		return false
-	}
-	if floor, ok := b.byCount[b.spillover]; ok {
+	i, evicted := s.pool.activate(row)
+	if evicted {
 		s.Evictions++
-		var victim rh.Row
-		for victim = range floor {
-			break
-		}
-		ve := b.entries[victim]
-		delete(floor, victim)
-		if len(floor) == 0 {
-			delete(b.byCount, b.spillover)
-		}
-		delete(b.entries, victim)
-		ve.lastMitig = b.spillover
-		ve.count = -1
-		b.entries[row] = ve
-		b.setCount(row, ve, b.spillover+1)
-		if ve.count-ve.lastMitig >= s.threshold {
-			ve.lastMitig = ve.count
-			s.Mitigations++
-			return true
-		}
-		return false
 	}
-	b.spillover++
-	if b.spillover > s.SpilloverPeak {
-		s.SpilloverPeak = b.spillover
+	if s.pool.spillover > s.SpilloverPeak {
+		s.SpilloverPeak = s.pool.spillover
+	}
+	if i >= 0 && s.pool.due(i, s.threshold) {
+		s.Mitigations++
+		return true
 	}
 	return false
 }
@@ -167,7 +135,7 @@ func (s *START) MetaRows() int { return 0 }
 
 // ResetWindow implements rh.Tracker.
 func (s *START) ResetWindow() {
-	s.pool = newGrapheneBank(s.capacity)
+	s.pool.reset()
 }
 
 // SRAMBytes implements rh.Tracker: the LLC bytes borrowed for the
@@ -187,8 +155,5 @@ func (s *START) Spillover() int { return s.pool.spillover }
 // count when resident, the spillover floor otherwise. The estimate
 // never undercounts the true count.
 func (s *START) EstimatedCount(row rh.Row) int {
-	if e, ok := s.pool.entries[row]; ok {
-		return e.count
-	}
-	return s.pool.spillover
+	return s.pool.estimate(row)
 }

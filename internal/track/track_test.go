@@ -2,6 +2,7 @@ package track
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/rh"
@@ -100,6 +101,136 @@ func TestGrapheneResetWindow(t *testing.T) {
 	}
 	if !g.Activate(rh.Row(7)) {
 		t.Fatal("no mitigation at 50 after reset")
+	}
+}
+
+// grapheneFillSeq is an activation sequence that fills bank 0's
+// 200-entry testGeom table: 40 warm rows revisited among pressure
+// spread over all 256 rows of the bank.
+func grapheneFillSeq(n int) []rh.Row {
+	rng := rand.New(rand.NewSource(3))
+	seq := make([]rh.Row, n)
+	for i := range seq {
+		if rng.Intn(2) == 0 {
+			seq[i] = rh.Row(rng.Intn(40))
+		} else {
+			seq[i] = rh.Row(rng.Intn(256))
+		}
+	}
+	return seq
+}
+
+// TestGrapheneDeterministic runs one table-filling activation sequence
+// repeatedly: the mitigations and every row's estimate must repeat
+// exactly. The table-full path once picked its victim in Go's
+// randomized map order, so two runs diverged within ~13,500
+// activations.
+func TestGrapheneDeterministic(t *testing.T) {
+	seq := grapheneFillSeq(30000)
+	run := func() (mitigs, est []int) {
+		g := MustNewGraphene(testGeom(), testTRH)
+		for i, row := range seq {
+			if g.Activate(row) {
+				mitigs = append(mitigs, i)
+			}
+		}
+		for r := 0; r < 256; r++ {
+			est = append(est, g.EstimatedCount(rh.Row(r)))
+		}
+		return mitigs, est
+	}
+	wantM, wantE := run()
+	if len(wantM) == 0 {
+		t.Fatal("sequence issued no mitigations")
+	}
+	for rep := 1; rep < 20; rep++ {
+		m, e := run()
+		if !reflect.DeepEqual(m, wantM) {
+			t.Fatalf("repeat %d: mitigations differ from the first run", rep)
+		}
+		if !reflect.DeepEqual(e, wantE) {
+			t.Fatalf("repeat %d: estimates differ from the first run", rep)
+		}
+	}
+}
+
+// fifoGraphene is a linear-scan reference of one Graphene bank: a miss
+// on a full table replaces, among the entries at the spillover floor,
+// the one that reached its count earliest.
+type fifoGraphene struct {
+	entries          []fifoEntry
+	capacity, cut    int
+	spillover, clock int
+}
+
+type fifoEntry struct {
+	row                     rh.Row
+	count, lastMitig, since int
+}
+
+func (f *fifoGraphene) activate(row rh.Row) bool {
+	f.clock++
+	due := func(e *fifoEntry) bool {
+		if e.count-e.lastMitig < f.cut {
+			return false
+		}
+		e.lastMitig = e.count
+		return true
+	}
+	for i := range f.entries {
+		if e := &f.entries[i]; e.row == row {
+			e.count++
+			e.since = f.clock
+			return due(e)
+		}
+	}
+	if len(f.entries) < f.capacity {
+		f.entries = append(f.entries, fifoEntry{row: row, count: 1, since: f.clock})
+		return false
+	}
+	v := -1
+	for i, e := range f.entries {
+		if e.count == f.spillover && (v < 0 || e.since < f.entries[v].since) {
+			v = i
+		}
+	}
+	if v < 0 {
+		f.spillover++
+		return false
+	}
+	f.entries[v] = fifoEntry{row: row, count: f.spillover + 1, lastMitig: f.spillover, since: f.clock}
+	return due(&f.entries[v])
+}
+
+func (f *fifoGraphene) estimate(row rh.Row) int {
+	for _, e := range f.entries {
+		if e.row == row {
+			return e.count
+		}
+	}
+	return f.spillover
+}
+
+// TestGrapheneMatchesFIFOReference checks the O(1) stream summary
+// against the linear reference, activation by activation, on a
+// sequence that keeps the table full and the floor contended.
+func TestGrapheneMatchesFIFOReference(t *testing.T) {
+	g := MustNewGraphene(testGeom(), testTRH)
+	ref := &fifoGraphene{capacity: g.EntriesPerBank(), cut: g.Threshold()}
+	for i, row := range grapheneFillSeq(30000) {
+		if got, want := g.Activate(row), ref.activate(row); got != want {
+			t.Fatalf("activation %d (row %d): mitigation %v, reference %v", i, row, got, want)
+		}
+		if i%1000 == 0 {
+			for r := rh.Row(0); r < 256; r++ {
+				if got, want := g.EstimatedCount(r), ref.estimate(r); got != want {
+					t.Fatalf("after activation %d: row %d estimate %d, reference %d", i, r, got, want)
+				}
+			}
+		}
+	}
+	if ref.spillover == 0 {
+		t.Fatal("the sequence never raised the spillover floor")
 	}
 }
 
