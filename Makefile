@@ -19,6 +19,9 @@ BENCHFLAGS ?=
 # Optional prior `go test -bench` text output to embed in the baseline
 # (records the speedup the current tree delivers over it).
 PREV     ?=
+# bench-baseline's output file: the next free number after the newest
+# committed BENCH_<N>.json, so recording never overwrites history.
+OUT      ?= BENCH_$(shell n=$$(git ls-files 'BENCH_*.json' | sed -nE 's/^BENCH_([0-9]+)\.json$$/\1/p' | sort -n | tail -1); echo $$(($${n:-0} + 1))).json
 
 # perf-pairs settings: the parent revision to compare against (required),
 # the number of alternating parent/change pairs, the perfbench workload
@@ -28,7 +31,7 @@ PAIRS    ?= 8
 WORKLOAD ?= sweep-heavy
 SECONDS  ?= 20
 
-.PHONY: all build test check soak bench bench-smoke bench-baseline bench-compare bench-json perf-pairs figures profile clean
+.PHONY: all build test check reach soak bench bench-smoke bench-baseline bench-compare bench-json perf-pairs figures profile clean
 
 all: build test
 
@@ -44,7 +47,8 @@ test:
 # Stricter pre-merge gate: static analysis plus the full test suite
 # under the race detector (the campaign harness is concurrent), plus a
 # single-iteration pass over every benchmark so a broken benchmark
-# cannot sit undetected until someone runs the perf gate.
+# cannot sit undetected until someone runs the perf gate, and the
+# reachability check (reach, below).
 # The suite includes the quick tier of every property-test machine
 # (internal/proptest; catalog in docs/TESTING.md) — set TEST_INTENSITY
 # or use `make soak` for the thorough tier. The explicit -timeout
@@ -53,11 +57,17 @@ test:
 # that several-fold. The gofmt step fails on any file gofmt would
 # rewrite, listing it. The campaign benchmark (perfbench/) is its own
 # module, so ./... never builds it; its smoke test runs separately.
-check: bench-smoke
+check: bench-smoke reach
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: the files above need formatting"; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race -timeout 30m ./...
 	cd perfbench && $(GO) test ./...
+
+# reach fails on any non-test function that no cmd/*, examples/* or
+# perfbench binary links and that scripts/reach.allow does not list:
+# these packages are internal, so such a function serves only tests.
+reach:
+	bash scripts/reach.sh
 
 # soak runs the whole suite at the thorough test tier under the race
 # detector: full crash-point coverage across all four workloads, long
@@ -76,14 +86,15 @@ bench:
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./... > /dev/null
 
-# bench-baseline snapshots current benchmark results into $(BASELINE).
-# Pass PREV=<old bench text output> to record the prior numbers and
+# bench-baseline snapshots current benchmark results into a new
+# baseline, $(OUT) (BENCH_<N+1>.json unless OUT= is given). Pass
+# PREV=<old bench text output> to record the prior numbers and
 # per-benchmark speedups in the artifact. -p 1 runs the per-package
 # test binaries serially: benchmarks must not time themselves while
 # another package's benchmarks compete for the CPU.
 bench-baseline:
 	$(GO) test -p 1 -bench . -benchmem -run '^$$' ./... \
-		| $(GO) run ./cmd/benchgate -write -out $(BASELINE) $(if $(PREV),-prev $(PREV))
+		| $(GO) run ./cmd/benchgate -write -out $(OUT) $(if $(PREV),-prev $(PREV))
 
 # bench-compare re-runs the benchmarks (serially, like the baseline)
 # and fails if any regresses beyond BENCHTOL against the committed
@@ -129,7 +140,8 @@ profile:
 
 # clean removes generated run artifacts but keeps the benchmark
 # baselines the perf gate compares against (current and committed
-# historical ones).
+# historical ones) and a new $(OUT) that bench-baseline wrote but that
+# is not committed yet.
 clean:
-	rm -f $(filter-out $(shell git ls-files 'BENCH_*.json') $(BASELINE),$(wildcard BENCH_*.json))
+	rm -f $(filter-out $(shell git ls-files 'BENCH_*.json') $(BASELINE) $(OUT),$(wildcard BENCH_*.json))
 	rm -rf profiles

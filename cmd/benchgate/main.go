@@ -33,7 +33,7 @@ import (
 func main() {
 	var (
 		write     = flag.Bool("write", false, "write a new baseline from stdin")
-		out       = flag.String("out", "BENCH_5.json", "baseline file to write")
+		out       = flag.String("out", "", "baseline file to write (required with -write)")
 		prev      = flag.String("prev", "", "prior go-test bench output to record as 'previous' (write mode)")
 		compare   = flag.String("compare", "", "baseline file to gate stdin against")
 		tolerance = flag.Float64("tolerance", 0.40, "allowed fractional time regression (compare mode)")
@@ -49,6 +49,11 @@ func main() {
 func run(write bool, out, prev, compare string, tolerance float64, allowEnv bool) error {
 	if write == (compare != "") {
 		return fmt.Errorf("exactly one of -write or -compare is required")
+	}
+	// Committed baselines are append-only history, so -write names its
+	// target explicitly rather than defaulting onto one of them.
+	if write && out == "" {
+		return fmt.Errorf("-write needs -out FILE")
 	}
 	current, err := stats.ParseBench(os.Stdin)
 	if err != nil {

@@ -39,8 +39,6 @@
 //	-no-cache         disable result caching entirely (every cell
 //	                  simulates; the default keeps an in-memory cache
 //	                  that dedupes identical cells across targets)
-//	-costs-from FILE  seed the longest-first scheduler with per-cell
-//	                  wall-clock costs from a prior run report
 //	-listen ADDR      serve live telemetry on ADDR (":0" = ephemeral):
 //	                  /metrics, /metrics.json, /events, /healthz,
 //	                  /debug/pprof — see docs/METRICS.md
@@ -63,6 +61,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -99,13 +98,24 @@ func run(ctx context.Context, args []string) error {
 	fs.StringVar(cacheDir, "resume", "", "alias for -cache-dir: rerun over the same directory to resume")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "byte budget for -cache-dir; least-recently-used entries are evicted (0 = unbounded)")
 	noCache := fs.Bool("no-cache", false, "disable result caching (simulate every cell)")
-	costsFrom := fs.String("costs-from", "", "seed scheduler cell costs from this prior run report")
 	listen := fs.String("listen", "", "serve live telemetry (/metrics, /events, pprof) on this address")
 	progress := fs.Bool("progress", false, "render a live campaign progress line on stderr")
 	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile")
 	memProf := fs.String("memprofile", "", "write a pprof heap profile")
 	if err := cli.ParseError(fs.Parse(args)); err != nil {
 		return err
+	}
+	// exp.Options reads zero as "use the default"; on the command line a
+	// non-positive value is a mistake, not a request for the default.
+	switch {
+	case !(*scale > 0) || math.IsInf(*scale, 1):
+		return cli.Usagef("-scale: %v is not a positive finite scale", *scale)
+	case *trh <= 0:
+		return cli.Usagef("-trh: %d is not a positive threshold", *trh)
+	case *par < 0:
+		return cli.Usagef("-par: %d is negative (0 = NumCPU)", *par)
+	case *cacheMaxBytes < 0:
+		return cli.Usagef("-cache-max-bytes: %d is negative (0 = unbounded)", *cacheMaxBytes)
 	}
 
 	opts := exp.Options{
@@ -142,17 +152,6 @@ func run(ctx context.Context, args []string) error {
 		opts.Cache = cache
 	} else if *cacheDir != "" {
 		return cli.Usagef("-no-cache and -cache-dir/-resume are mutually exclusive")
-	}
-	if *costsFrom != "" {
-		if opts.Cache == nil {
-			return cli.Usagef("-costs-from needs the result cache (drop -no-cache)")
-		}
-		costs, err := readCellCosts(*costsFrom)
-		if err != nil {
-			return err
-		}
-		opts.Cache.SeedCosts(costs)
-		fmt.Printf("[seeded %d cell costs from %s]\n", len(costs), *costsFrom)
 	}
 	var sweepTRH []int
 	if *thresholds != "" {
@@ -268,33 +267,6 @@ func cacheSummary(s harness.CacheStats, disk bool) string {
 		line += fmt.Sprintf(", %d store errors", s.StoreErrors)
 	}
 	return line + "]"
-}
-
-// readCellCosts extracts per-cell wall-clock costs from a prior run
-// report: every cell that actually simulated (cached replays carry no
-// timing signal) contributes its ElapsedSec under its key; across
-// reports the largest observation wins — the conservative prior for
-// longest-first scheduling.
-func readCellCosts(path string) (map[string]time.Duration, error) {
-	f, err := obsv.ReadReportFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("costs-from: %w", err)
-	}
-	costs := map[string]time.Duration{}
-	for _, r := range f.Reports {
-		for _, c := range r.Cells {
-			if c.Status == obsv.CellCached || c.ElapsedSec <= 0 {
-				continue
-			}
-			if d := time.Duration(c.ElapsedSec * float64(time.Second)); d > costs[c.Key] {
-				costs[c.Key] = d
-			}
-		}
-	}
-	if len(costs) == 0 {
-		return nil, fmt.Errorf("costs-from: no timed cells in %s", path)
-	}
-	return costs, nil
 }
 
 // writeTrace dumps the event ring as JSONL.

@@ -3,9 +3,13 @@ package hydra_test
 // The docs catalogs are part of the interface: docs/TRACKERS.md must
 // describe every tracker scheme and docs/METRICS.md every metric name,
 // because downstream dashboards key on those names. These tests keep
-// both catalogs in sync with the code.
+// both catalogs in sync with the code, and keep the docs from naming
+// packages, files or tracker types the code no longer has.
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -148,5 +152,93 @@ func TestMetricCatalog(t *testing.T) {
 	}
 	for _, s := range stale {
 		t.Errorf("docs/METRICS.md documents %s, which is no longer registered anywhere", s)
+	}
+}
+
+// docPathRe matches a backticked repository path under internal/, as in
+// `internal/track`, `internal/memsim/queue.go` or `internal/core.Tracker`.
+var docPathRe = regexp.MustCompile("`internal/([a-z0-9_]+)((?:/[A-Za-z0-9_]+)*(?:\\.go)?)")
+
+// TestDocsPackagePathsExist fails when README.md, DESIGN.md or a
+// docs/*.md file names an `internal/<pkg>` package that is not a
+// directory, or an `internal/<pkg>/<file>.go` that does not exist: the
+// prose of a deleted unit must go with it.
+func TestDocsPackagePathsExist(t *testing.T) {
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "README.md", "DESIGN.md")
+	seen := 0
+	for _, doc := range docs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docPathRe.FindAllStringSubmatch(string(src), -1) {
+			seen++
+			dir := filepath.Join("internal", m[1])
+			if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+				t.Errorf("%s names `%s`, which is not a directory", doc, filepath.ToSlash(dir))
+				continue
+			}
+			if strings.HasSuffix(m[2], ".go") {
+				if _, err := os.Stat(dir + m[2]); err != nil {
+					t.Errorf("%s names `%s`, which does not exist", doc, filepath.ToSlash(dir+m[2]))
+				}
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no `internal/...` paths found in the docs (pattern drift?)")
+	}
+}
+
+// docTrackNameRe matches a backticked track.<Name> reference.
+var docTrackNameRe = regexp.MustCompile("`track\\.([A-Za-z_][A-Za-z0-9_]*)")
+
+// TestTrackerCatalogNamesExist is TestTrackerCatalog's other direction:
+// every `track.<Name>` in docs/TRACKERS.md must be a type or function
+// declared in internal/track, so a deleted tracker cannot keep its
+// catalog entry.
+func TestTrackerCatalogNamesExist(t *testing.T) {
+	doc, err := os.ReadFile("docs/TRACKERS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, "internal/track", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						declared[d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if ts, ok := spec.(*ast.TypeSpec); ok {
+							declared[ts.Name.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	names := docTrackNameRe.FindAllStringSubmatch(string(doc), -1)
+	if len(names) == 0 {
+		t.Fatal("no `track.<Name>` references in docs/TRACKERS.md (pattern drift?)")
+	}
+	for _, m := range names {
+		if !declared[m[1]] {
+			t.Errorf("docs/TRACKERS.md names `track.%s`, which internal/track does not declare", m[1])
+		}
 	}
 }

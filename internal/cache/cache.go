@@ -78,15 +78,6 @@ func New(entries, ways int, policy Policy) (*SetAssoc, error) {
 	}, nil
 }
 
-// MustNew is New for statically valid geometries.
-func MustNew(entries, ways int, policy Policy) *SetAssoc {
-	c, err := New(entries, ways, policy)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Entries returns the total capacity in entries.
 func (c *SetAssoc) Entries() int { return c.sets * c.ways }
 
@@ -231,20 +222,6 @@ func (c *SetAssoc) victim(ws []way) int {
 	default:
 		panic("cache: unknown policy")
 	}
-}
-
-// Invalidate removes a key if resident, returning its entry so dirty
-// state can be written back.
-func (c *SetAssoc) Invalidate(key uint64) (Entry, bool) {
-	ws := c.set(key)
-	for i := range ws {
-		if ws[i].valid && ws[i].key == key {
-			e := Entry{Key: ws[i].key, Val: ws[i].val, Dirty: ws[i].dirty}
-			ws[i] = way{}
-			return e, true
-		}
-	}
-	return Entry{}, false
 }
 
 // Reset invalidates every entry and clears statistics. Hydra resets its

@@ -75,16 +75,6 @@ func (r *ChaosReport) runReport(out *obsv.Report) {
 	out.Extra = r.Rows
 }
 
-// Row returns the named scenario's row, if present.
-func (r *ChaosReport) Row(scenario string) (ChaosRow, bool) {
-	for _, row := range r.Rows {
-		if row.Scenario == scenario {
-			return row, true
-		}
-	}
-	return ChaosRow{}, false
-}
-
 // chaosProfile is the fixed victim workload behind the attacker: small
 // and hot so every scenario run finishes quickly and deterministically.
 func chaosProfile() workload.Profile {

@@ -24,7 +24,7 @@ func TestChaosCampaignVerdicts(t *testing.T) {
 		}
 	}
 
-	ctrl, ok := rep.Row("none")
+	ctrl, ok := chaosRow(rep, "none")
 	if !ok || !ctrl.GuaranteeHeld {
 		t.Fatalf("control scenario broken: %+v", ctrl)
 	}
@@ -35,7 +35,7 @@ func TestChaosCampaignVerdicts(t *testing.T) {
 		t.Errorf("control attack triggered no mitigations; campaign fixture too weak")
 	}
 
-	drop, ok := rep.Row("refresh-drop")
+	drop, ok := chaosRow(rep, "refresh-drop")
 	if !ok || !drop.DegradationDetected {
 		t.Fatalf("dropped refreshes went undetected: %+v", drop)
 	}
@@ -43,12 +43,12 @@ func TestChaosCampaignVerdicts(t *testing.T) {
 		t.Errorf("refresh-drop row inconsistent: %+v", drop)
 	}
 
-	corrupt, ok := rep.Row("rct-corruption")
+	corrupt, ok := chaosRow(rep, "rct-corruption")
 	if !ok || corrupt.CorruptedEntries == 0 {
 		t.Errorf("rct-corruption injected nothing: %+v", corrupt)
 	}
 
-	postpone, ok := rep.Row("refresh-postpone")
+	postpone, ok := chaosRow(rep, "refresh-postpone")
 	if !ok || postpone.PostponedResets == 0 {
 		t.Fatalf("refresh-postpone stretched no windows: %+v", postpone)
 	}
@@ -78,4 +78,14 @@ func TestChaosScenarioSelection(t *testing.T) {
 	if _, err := Chaos(Options{Scale: 64}, []string{"nosuch"}); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
+}
+
+// chaosRow returns the named scenario's row, if present.
+func chaosRow(r *ChaosReport, scenario string) (ChaosRow, bool) {
+	for _, row := range r.Rows {
+		if row.Scenario == scenario {
+			return row, true
+		}
+	}
+	return ChaosRow{}, false
 }

@@ -391,23 +391,6 @@ func (c *CellCache) Cost(hash, key string) (time.Duration, bool) {
 	return 0, false
 }
 
-// SeedCosts preloads per-cell-key wall-clock costs into the LPT
-// scheduler's recorded-cost table without touching the value tiers.
-// This is how a prior campaign's run report — which records ElapsedSec
-// for every cell, not just the cacheable ones — becomes scheduling
-// data for the next run (cmd/experiments -costs-from). Non-positive
-// costs are ignored; existing entries are overwritten, on the theory
-// that the caller is feeding fresher timings.
-func (c *CellCache) SeedCosts(costs map[string]time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, d := range costs {
-		if key != "" && d > 0 {
-			c.costByKey[key] = d
-		}
-	}
-}
-
 // Store records a newly computed cell under its content hash, with the
 // wall-clock cost of the run that produced it. The value must be
 // JSON-marshalable when the disk tier is enabled. Disk-write failures

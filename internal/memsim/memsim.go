@@ -276,15 +276,3 @@ func (m *Memory) Stats() Stats {
 	}
 	return s
 }
-
-// QueuePressure returns the fraction of read-queue capacity in use on
-// the fullest channel (for tests and debugging).
-func (m *Memory) QueuePressure() float64 {
-	max := 0
-	for _, c := range m.channels {
-		if n := c.readQ.len(); n > max {
-			max = n
-		}
-	}
-	return float64(max) / float64(m.cfg.ReadQCap)
-}

@@ -5,7 +5,7 @@ import "fmt"
 // Hist is a fixed-bucket histogram over non-negative int64 samples:
 // Observe is a handful of compares and three adds, and ObserveN folds
 // in pre-counted samples (memsim counts its per-decision samples by
-// value and folds them once). Unlike stats.Histogram it is a
+// value and folds them once). It is the repository's one histogram: a
 // value type with a stable JSON shape, so memory-controller stats can
 // embed it directly and run reports can carry it.
 //

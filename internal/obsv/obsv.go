@@ -165,15 +165,6 @@ func (r *Registry) Histogram(name string, h Hist) {
 	r.mu.Unlock()
 }
 
-// Collect gathers every source into the registry.
-func (r *Registry) Collect(sources ...Source) {
-	for _, s := range sources {
-		if s != nil {
-			s.CollectInto(r)
-		}
-	}
-}
-
 // Merge accumulates a finished run's snapshot into the registry with
 // the same semantics as Metrics.Merge (counters add, gauges max,
 // histograms merge bucket-wise). This is how the campaign harness

@@ -107,6 +107,15 @@ func TestHistMergeMismatchedBoundsPanics(t *testing.T) {
 	a.Merge(b)
 }
 
+func TestNewHistBadBoundsPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on non-increasing bounds")
+		}
+	}()
+	NewHist(10, 10)
+}
+
 func TestTracerRingWrapsAndDrops(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 7; i++ {

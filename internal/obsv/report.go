@@ -97,8 +97,7 @@ type CellStatus struct {
 	// value for failed ones (how far it got before dying). Zero for
 	// cached cells, which replay a value without simulating.
 	// Together with ElapsedSec this gives hydrastat a cycles-per-second
-	// rate to rank slow cells by, and run reports become a usable cost
-	// model for the LPT scheduler (see harness.CellCache.SeedCosts).
+	// rate to rank slow cells by.
 	Cycles int64 `json:"cycles,omitempty"`
 }
 

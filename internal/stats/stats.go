@@ -1,12 +1,11 @@
 // Package stats provides the small statistical helpers the evaluation
-// harness needs: geometric means over normalized performance, simple
-// histograms, and percentage formatting matching the paper's figures.
+// harness needs: geometric means over normalized performance and
+// percentage formatting matching the paper's figures.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Geomean returns the geometric mean of xs. It returns 0 for an empty
@@ -42,109 +41,4 @@ func Mean(xs []float64) float64 {
 // the slowdown percentage the paper reports: 0.993 -> 0.7 (%).
 func SlowdownPct(normPerf float64) float64 {
 	return (1 - normPerf) * 100
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using nearest-
-// rank on a sorted copy. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(s))))
-	if rank < 1 {
-		rank = 1
-	}
-	return s[rank-1]
-}
-
-// Histogram is a fixed-bucket histogram over non-negative integer
-// samples, used to characterize per-row activation counts.
-type Histogram struct {
-	// Bounds are the inclusive upper bounds of each bucket; a final
-	// overflow bucket catches everything above the last bound.
-	Bounds []int64
-	Counts []int64
-	N      int64
-	Max    int64
-	Sum    int64
-}
-
-// NewHistogram creates a histogram with the given bucket upper bounds,
-// which must be strictly increasing.
-func NewHistogram(bounds ...int64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly increasing")
-		}
-	}
-	return &Histogram{
-		Bounds: append([]int64(nil), bounds...),
-		Counts: make([]int64, len(bounds)+1),
-	}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v int64) {
-	h.N++
-	h.Sum += v
-	if v > h.Max {
-		h.Max = v
-	}
-	for i, b := range h.Bounds {
-		if v <= b {
-			h.Counts[i]++
-			return
-		}
-	}
-	h.Counts[len(h.Bounds)]++
-}
-
-// Mean returns the mean of all recorded samples.
-func (h *Histogram) Mean() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.N)
-}
-
-// CountAbove returns how many samples exceeded the given value. The
-// value must be one of the configured bounds; otherwise the result is
-// approximate to bucket granularity.
-func (h *Histogram) CountAbove(v int64) int64 {
-	var n int64
-	for i, b := range h.Bounds {
-		if b > v {
-			n += h.Counts[i]
-		}
-	}
-	n += h.Counts[len(h.Bounds)]
-	return n
-}
-
-// String renders the histogram compactly for logs.
-func (h *Histogram) String() string {
-	s := ""
-	prev := int64(0)
-	for i, b := range h.Bounds {
-		s += fmt.Sprintf("[%d..%d]:%d ", prev, b, h.Counts[i])
-		prev = b + 1
-	}
-	s += fmt.Sprintf("[%d..]:%d", prev, h.Counts[len(h.Bounds)])
-	return s
-}
-
-// Ratio returns a/b as a float, or 0 when b is zero.
-func Ratio(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
 }

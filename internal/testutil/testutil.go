@@ -1,4 +1,5 @@
-// Package testutil holds the shared test-tier knob. Expensive suites —
+// Package testutil holds the shared test-tier knob and the Must helper
+// for statically valid constructor calls. Expensive suites —
 // the crash-point sweep, fuzz-style property loops, soak runs — scale
 // their iteration counts through Intensity instead of hardcoding them,
 // so one environment variable moves the whole tree between a fast
@@ -63,4 +64,14 @@ func Pick[T any](tb testing.TB, quick, thorough T) T {
 func Logf(tb testing.TB, format string, args ...any) {
 	tb.Helper()
 	tb.Logf("[%s] %s", FromEnv(tb), fmt.Sprintf(format, args...))
+}
+
+// Must returns v, panicking if err is non-nil. It unwraps a constructor
+// whose arguments a test fixes statically:
+// testutil.Must(track.NewGraphene(geom, trh)).
+func Must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -79,15 +79,6 @@ func NewCAT(geom Geometry, trh, poolPerBank int) (*CAT, error) {
 	return c, nil
 }
 
-// MustNewCAT is NewCAT for statically valid parameters.
-func MustNewCAT(geom Geometry, trh, poolPerBank int) *CAT {
-	c, err := NewCAT(geom, trh, poolPerBank)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 func (c *CAT) resetBanks() {
 	for i := range c.banks {
 		c.banks[i] = catBank{
@@ -99,9 +90,6 @@ func (c *CAT) resetBanks() {
 
 // Name implements rh.Tracker.
 func (c *CAT) Name() string { return "cat" }
-
-// SplitThreshold returns the per-level split/mitigation threshold.
-func (c *CAT) SplitThreshold() int { return c.splitAt }
 
 // Activate implements rh.Tracker.
 func (c *CAT) Activate(row rh.Row) bool {

@@ -69,23 +69,11 @@ func NewDAPPER(geom Geometry, trh int) (*DAPPER, error) {
 	return d, nil
 }
 
-// MustNewDAPPER is NewDAPPER for statically valid parameters.
-func MustNewDAPPER(geom Geometry, trh int) *DAPPER {
-	d, err := NewDAPPER(geom, trh)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Name implements rh.Tracker.
 func (d *DAPPER) Name() string { return "dapper" }
 
 // Threshold returns the pre-jitter operating threshold, T_RH/2.
 func (d *DAPPER) Threshold() int { return d.threshold }
-
-// JitterMax returns the exclusive bound of the per-row jitter band.
-func (d *DAPPER) JitterMax() int { return d.jitterMax }
 
 // EntriesPerBank returns the table size per bank.
 func (d *DAPPER) EntriesPerBank() int { return d.perBank }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/rh"
+	"repro/internal/testutil"
 )
 
 // testGeom is a small system for fast tests: 1024 rows over 4 banks,
@@ -17,7 +18,7 @@ func testGeom() Geometry {
 const testTRH = 100 // operating threshold 50
 
 func TestGrapheneHammerMitigatedEveryThreshold(t *testing.T) {
-	g := MustNewGraphene(testGeom(), testTRH)
+	g := testutil.Must(NewGraphene(testGeom(), testTRH))
 	row := rh.Row(7)
 	mitigs := 0
 	for i := 1; i <= 200; i++ {
@@ -34,7 +35,7 @@ func TestGrapheneHammerMitigatedEveryThreshold(t *testing.T) {
 }
 
 func TestGrapheneSizingMatchesPaper(t *testing.T) {
-	g := MustNewGraphene(BaselineGeometry(), 500)
+	g := testutil.Must(NewGraphene(BaselineGeometry(), 500))
 	if got := g.EntriesPerBank(); got != 5440 {
 		t.Errorf("entries per bank = %d, want 5440 (~5441 in the paper)", got)
 	}
@@ -52,7 +53,7 @@ func TestGrapheneSizingMatchesPaper(t *testing.T) {
 // budget.
 func TestGrapheneSecurityUnderThrash(t *testing.T) {
 	geom := testGeom()
-	g := MustNewGraphene(geom, testTRH)
+	g := testutil.Must(NewGraphene(geom, testTRH))
 	rng := rand.New(rand.NewSource(1))
 	trueCount := make(map[rh.Row]int)
 	target := rh.Row(3)
@@ -75,7 +76,7 @@ func TestGrapheneSecurityUnderThrash(t *testing.T) {
 }
 
 func TestGrapheneEstimateNeverUndercounts(t *testing.T) {
-	g := MustNewGraphene(testGeom(), testTRH)
+	g := testutil.Must(NewGraphene(testGeom(), testTRH))
 	rng := rand.New(rand.NewSource(2))
 	trueCount := make(map[rh.Row]int)
 	for i := 0; i < 5000; i++ {
@@ -89,7 +90,7 @@ func TestGrapheneEstimateNeverUndercounts(t *testing.T) {
 }
 
 func TestGrapheneResetWindow(t *testing.T) {
-	g := MustNewGraphene(testGeom(), testTRH)
+	g := testutil.Must(NewGraphene(testGeom(), testTRH))
 	for i := 0; i < 49; i++ {
 		g.Activate(rh.Row(7))
 	}
@@ -128,7 +129,7 @@ func grapheneFillSeq(n int) []rh.Row {
 func TestGrapheneDeterministic(t *testing.T) {
 	seq := grapheneFillSeq(30000)
 	run := func() (mitigs, est []int) {
-		g := MustNewGraphene(testGeom(), testTRH)
+		g := testutil.Must(NewGraphene(testGeom(), testTRH))
 		for i, row := range seq {
 			if g.Activate(row) {
 				mitigs = append(mitigs, i)
@@ -215,7 +216,7 @@ func (f *fifoGraphene) estimate(row rh.Row) int {
 // against the linear reference, activation by activation, on a
 // sequence that keeps the table full and the floor contended.
 func TestGrapheneMatchesFIFOReference(t *testing.T) {
-	g := MustNewGraphene(testGeom(), testTRH)
+	g := testutil.Must(NewGraphene(testGeom(), testTRH))
 	ref := &fifoGraphene{capacity: g.EntriesPerBank(), cut: g.Threshold()}
 	for i, row := range grapheneFillSeq(30000) {
 		if got, want := g.Activate(row), ref.activate(row); got != want {
@@ -235,7 +236,7 @@ func TestGrapheneMatchesFIFOReference(t *testing.T) {
 }
 
 func TestOCPRExact(t *testing.T) {
-	o := MustNewOCPR(testGeom(), testTRH)
+	o := testutil.Must(NewOCPR(testGeom(), testTRH))
 	row := rh.Row(100)
 	for i := 1; i <= 49; i++ {
 		if o.Activate(row) {
@@ -260,7 +261,7 @@ func TestOCPRExact(t *testing.T) {
 func TestOCPRStorageMatchesTable1(t *testing.T) {
 	// 16 GB rank = 2 M rows; at T_RH 500 a 9-bit counter per row
 	// gives 2.25 MB (Table 1 reports 2.3 MB).
-	o := MustNewOCPR(Geometry{Rows: 2 * 1024 * 1024, RowsPerBank: 131072, Banks: 16, ACTMax: 1360000}, 500)
+	o := testutil.Must(NewOCPR(Geometry{Rows: 2 * 1024 * 1024, RowsPerBank: 131072, Banks: 16, ACTMax: 1360000}, 500))
 	mb := float64(o.SRAMBytes()) / (1 << 20)
 	if mb < 2.2 || mb > 2.4 {
 		t.Errorf("OCPR storage = %.2f MB, want ~2.3 MB", mb)
@@ -268,7 +269,7 @@ func TestOCPRStorageMatchesTable1(t *testing.T) {
 }
 
 func TestPARAStatistics(t *testing.T) {
-	p := MustNewPARA(500, 1e-9, 42)
+	p := testutil.Must(NewPARA(500, 1e-9, 42))
 	// p = 1 - (1e-9)^(1/500) ~ 0.0406
 	if p.Probability() < 0.03 || p.Probability() > 0.06 {
 		t.Fatalf("p = %v, want ~0.041", p.Probability())
@@ -287,8 +288,8 @@ func TestPARAStatistics(t *testing.T) {
 }
 
 func TestPARADeterministicPerSeed(t *testing.T) {
-	a := MustNewPARA(500, 1e-9, 7)
-	b := MustNewPARA(500, 1e-9, 7)
+	a := testutil.Must(NewPARA(500, 1e-9, 7))
+	b := testutil.Must(NewPARA(500, 1e-9, 7))
 	for i := 0; i < 1000; i++ {
 		if a.Activate(0) != b.Activate(0) {
 			t.Fatal("same seed diverged")
@@ -309,7 +310,7 @@ func TestPARAValidation(t *testing.T) {
 }
 
 func TestCRAMitigatesAtThreshold(t *testing.T) {
-	c := MustNewCRA(testGeom(), testTRH, 4096, rh.NullSink{})
+	c := testutil.Must(NewCRA(testGeom(), testTRH, 4096, rh.NullSink{}))
 	row := rh.Row(5)
 	for i := 1; i <= 49; i++ {
 		if c.Activate(row) {
@@ -323,7 +324,7 @@ func TestCRAMitigatesAtThreshold(t *testing.T) {
 
 func TestCRATraffic(t *testing.T) {
 	sink := &rh.CountingSink{}
-	c := MustNewCRA(testGeom(), testTRH, 256, sink) // 4 lines, one set
+	c := testutil.Must(NewCRA(testGeom(), testTRH, 256, sink)) // 4 lines, one set
 	// First touch of a line: one read.
 	c.Activate(rh.Row(0))
 	if sink.Reads != 1 || sink.Writes != 0 {
@@ -347,7 +348,7 @@ func TestCRATraffic(t *testing.T) {
 }
 
 func TestCRACountsClearAcrossWindows(t *testing.T) {
-	c := MustNewCRA(testGeom(), testTRH, 4096, rh.NullSink{})
+	c := testutil.Must(NewCRA(testGeom(), testTRH, 4096, rh.NullSink{}))
 	row := rh.Row(9)
 	for i := 0; i < 30; i++ {
 		c.Activate(row)
@@ -412,7 +413,7 @@ func TestTWiCEPrunesColdEntries(t *testing.T) {
 }
 
 func TestCATHammerMitigatedBeforeTRH(t *testing.T) {
-	c := MustNewCAT(testGeom(), testTRH, 1024)
+	c := testutil.Must(NewCAT(testGeom(), testTRH, 1024))
 	row := rh.Row(17)
 	trueSince := 0
 	for i := 0; i < 500; i++ {
@@ -433,7 +434,7 @@ func TestCATHammerMitigatedBeforeTRH(t *testing.T) {
 }
 
 func TestCATPoolExhaustionIsUnsafe(t *testing.T) {
-	c := MustNewCAT(testGeom(), testTRH, 3) // root plus one split
+	c := testutil.Must(NewCAT(testGeom(), testTRH, 3)) // root plus one split
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 5000; i++ {
 		c.Activate(rh.Row(rng.Intn(256)))
@@ -443,71 +444,17 @@ func TestCATPoolExhaustionIsUnsafe(t *testing.T) {
 	}
 }
 
-func TestDCBFNoFalseNegatives(t *testing.T) {
-	d := MustNewDCBF(testGeom(), testTRH, 4096, 11)
-	row := rh.Row(4)
-	throttled := false
-	for i := 1; i <= 50; i++ {
-		if d.Activate(row) {
-			throttled = true
-			if i < 1 {
-				t.Fatalf("throttle before any activation")
-			}
-		}
-	}
-	if !throttled {
-		t.Fatal("hammered row never blacklisted at threshold")
-	}
-	// D-CBF cannot un-blacklist until a filter reset: every further
-	// activation throttles.
-	if !d.Activate(row) {
-		t.Fatal("blacklisted row no longer throttled")
-	}
-	if d.Estimate(row) < 50 {
-		t.Fatalf("estimate %d < true count 51", d.Estimate(row))
-	}
-}
-
-func TestDCBFEstimateNeverUndercounts(t *testing.T) {
-	geom := testGeom()
-	geom.ACTMax = 1 << 30 // avoid filter swaps in this test
-	d := MustNewDCBF(geom, testTRH, 1024, 12)
-	rng := rand.New(rand.NewSource(5))
-	trueCount := make(map[rh.Row]int)
-	for i := 0; i < 3000; i++ {
-		row := rh.Row(rng.Intn(256))
-		trueCount[row]++
-		d.Activate(row)
-		if est := d.Estimate(row); est < trueCount[row] {
-			t.Fatalf("estimate %d < true %d", est, trueCount[row])
-		}
-	}
-}
-
-func TestDCBFResetClearsBlacklist(t *testing.T) {
-	d := MustNewDCBF(testGeom(), testTRH, 4096, 13)
-	row := rh.Row(4)
-	for i := 0; i < 100; i++ {
-		d.Activate(row)
-	}
-	d.ResetWindow()
-	if d.Activate(row) {
-		t.Fatal("row still blacklisted after reset")
-	}
-}
-
 // TestAllTrackersImplementInterface pins the interface contract and the
 // trivial methods in one place.
 func TestAllTrackersImplementInterface(t *testing.T) {
 	geom := testGeom()
 	trackers := []rh.Tracker{
-		MustNewGraphene(geom, testTRH),
-		MustNewOCPR(geom, testTRH),
-		MustNewPARA(testTRH, 1e-9, 1),
-		MustNewCRA(geom, testTRH, 4096, rh.NullSink{}),
+		testutil.Must(NewGraphene(geom, testTRH)),
+		testutil.Must(NewOCPR(geom, testTRH)),
+		testutil.Must(NewPARA(testTRH, 1e-9, 1)),
+		testutil.Must(NewCRA(geom, testTRH, 4096, rh.NullSink{})),
 		MustNewTWiCE(geom, testTRH, 0),
-		MustNewCAT(geom, testTRH, 0),
-		MustNewDCBF(geom, testTRH, 0, 1),
+		testutil.Must(NewCAT(geom, testTRH, 0)),
 	}
 	names := map[string]bool{}
 	for _, tr := range trackers {

@@ -247,15 +247,6 @@ func placement(seed uint64, rows int) []int32 {
 	return perm
 }
 
-// MustNewStream is NewStream for statically valid parameters.
-func MustNewStream(p Profile, cfg StreamConfig) *Stream {
-	s, err := NewStream(p, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // ActBudget returns the total activations this stream will produce.
 func (s *Stream) ActBudget() int { return s.actsLeft }
 

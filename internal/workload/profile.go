@@ -41,11 +41,6 @@ type Profile struct {
 	ActsPerRow float64 // average activations per touched row
 }
 
-// TotalActs returns the expected activations per window.
-func (p Profile) TotalActs() int {
-	return int(float64(p.UniqueRows) * p.ActsPerRow)
-}
-
 // Scaled returns the profile with its footprint divided by f (hot and
 // cold row counts shrink; per-row intensity is preserved so rows still
 // cross the tracker thresholds). Used to simulate a fraction of a
@@ -121,15 +116,4 @@ func ByName(name string) (Profile, error) {
 		}
 	}
 	return Profile{}, fmt.Errorf("workload: unknown workload %q", name)
-}
-
-// BySuite returns the profiles of one suite, in paper order.
-func BySuite(s Suite) []Profile {
-	var out []Profile
-	for _, p := range Profiles() {
-		if p.Suite == s {
-			out = append(out, p)
-		}
-	}
-	return out
 }
